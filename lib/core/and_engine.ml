@@ -37,7 +37,6 @@
 module Term = Ace_term.Term
 module Trail = Ace_term.Trail
 module Clause = Ace_lang.Clause
-module Code = Ace_lang.Code
 module Database = Ace_lang.Database
 module Table = Ace_lang.Table
 module Cost = Ace_machine.Cost
@@ -51,7 +50,7 @@ module Prof = Ace_obs.Prof
 type acp = {
   a_goal : Term.t;
   mutable a_alts : Clause.t list;
-  a_cont : Clause.item list;
+  a_cont : Machine.cont;
   a_trail : int;
 }
 
@@ -85,7 +84,7 @@ and frame = {
   mutable f_nslots : int;
   mutable f_pending : int; (* slots not yet Sdone *)
   mutable f_failing : bool;
-  f_cont : Clause.item list; (* continuation after the parcall *)
+  f_cont : Machine.cont; (* continuation after the parcall *)
 }
 
 and slot = {
@@ -117,90 +116,42 @@ type t = {
   db : Database.t;
   table : Table.t; (* shared answer table for tabled predicates *)
   config : Config.t;
-  cost : Cost.t;
-  shards : Stats.t array; (* one per simulated agent *)
-  tbufs : Trace.buffer array; (* one trace ring per simulated agent *)
-  chaos : Chaos.agent array; (* per-agent schedule-jitter streams *)
-  sim : Sim.t;
+  ag : Agents.t; (* the simulator and the per-agent shards *)
   ctx : Builtins.ctx; (* trail field is unused; per-exec trails are passed *)
   agents : agent_state array;
-  scratches : Code.scratch array; (* per-agent frame buffer + registers *)
-  pshards : Prof.shard array; (* per-agent profiler shards *)
   mutable pool : frame list; (* frames that may have free slots, oldest first *)
   mutable frame_counter : int;
-  cancel : Cancel.t;
-    (* polled at the exec/backtrack chokepoints and the steal loop; once
-       fired the run stops like a satisfied solution limit *)
-  mutable finished : bool;
-  mutable sol_count : int; (* global solution count (shards hold per-agent) *)
-  mutable solutions : Term.t list; (* newest first *)
   goal : Term.t;
 }
 
-let debug = ref false
+module A = Agents.Scheduler (struct
+  type nonrec t = t
 
-let dbg fmt =
-  if !debug then Format.eprintf fmt
-  else Format.ifprintf Format.err_formatter fmt
+  let name = "the and-parallel engine"
+  let agents st = st.ag
+end)
+
+open A
+module M = Machine.Make (A)
 
 (* ------------------------------------------------------------------ *)
 (* Charging helpers                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let charge (_st : t) n = Sim.tick n
-
-(* Counter updates are attributed to the agent the simulator is currently
-   stepping: the coroutines run on one OS thread, so the "current agent"
-   is exact at every update site (interleaving happens only at ticks). *)
-let cur st =
-  let c = Sim.current_agent st.sim in
-  if c < 0 then 0 else c
-
-let shard st = st.shards.(cur st)
-let psh st = st.pshards.(cur st)
-
-let tbuf st = st.tbufs.(cur st)
-
-(* Events are stamped with the virtual clock, so an exported trace shows
-   the simulated schedule. *)
-let record_ev st kind arg = Trace.record_at (tbuf st) ~ts:(Sim.now st.sim) kind arg
-
-(* Schedule-exploration yield site (see {!Or_engine.chaos_yield}): seeded
-   extra virtual cycles deterministically select alternative interleavings.
-   Never called between a state read and the claim that depends on it. *)
-let chaos_yield st =
-  let j = Chaos.jitter st.chaos.(cur st) in
-  if j > 0 then Sim.tick j
+(* The agent the simulator is stepping: the coroutine that called. *)
+let agent st = st.agents.(Agents.cur st.ag)
 
 let charge_cp_alloc st =
-  charge st st.cost.Cost.cp_alloc;
-  (shard st).Stats.cp_allocs <- (shard st).Stats.cp_allocs + 1;
-  (shard st).Stats.stack_words <-
-    (shard st).Stats.stack_words + Cost.words_choice_point
+  charge st st.ag.cost.Cost.cp_alloc;
+  (stats st).Stats.cp_allocs <- (stats st).Stats.cp_allocs + 1;
+  (stats st).Stats.stack_words <-
+    (stats st).Stats.stack_words + Cost.words_choice_point
 
 let charge_marker st ~input =
-  charge st st.cost.Cost.marker_alloc;
-  (shard st).Stats.stack_words <- (shard st).Stats.stack_words + Cost.words_marker;
-  if input then (shard st).Stats.input_markers <- (shard st).Stats.input_markers + 1
-  else (shard st).Stats.end_markers <- (shard st).Stats.end_markers + 1
-
-(* The kernel resolver instantiated for this engine: charges tick the
-   discrete-event simulator, stats go to the current agent's shard. *)
-module K = Kernel.Resolver (struct
-  type nonrec t = t
-
-  let name = "the and-parallel engine"
-  let cost st = st.cost
-  let stats = shard
-  let charge = charge
-
-  (* One scratch per simulated agent: a context switch at a tick can
-     never hand one agent's half-loaded registers to another. *)
-  let scratch st = st.scratches.(cur st)
-  let prof = psh
-  let record = record_ev
-  let cancel st = st.cancel
-end)
+  charge st st.ag.cost.Cost.marker_alloc;
+  (stats st).Stats.stack_words <- (stats st).Stats.stack_words + Cost.words_marker;
+  if input then (stats st).Stats.input_markers <- (stats st).Stats.input_markers + 1
+  else (stats st).Stats.end_markers <- (stats st).Stats.end_markers + 1
 
 (* Cancellation observed at a chokepoint: stop the simulation (pending
    coroutines are abandoned mid-flight, as on a solution limit) and
@@ -208,15 +159,14 @@ end)
    top — no failure path runs under a fired token, so the solutions
    already recorded stay exactly the ones completed before the abort. *)
 let check_cancel st =
-  if Cancel.poll st.cancel then begin
-    st.finished <- true;
-    Sim.stop st.sim;
+  if Cancel.poll st.ag.cancel then begin
+    Agents.stop st.ag;
     raise Cancel.Cancelled
   end
 
 let charge_bt_node st =
-  charge st st.cost.Cost.backtrack_node;
-  (shard st).Stats.bt_nodes_visited <- (shard st).Stats.bt_nodes_visited + 1
+  charge st st.ag.cost.Cost.backtrack_node;
+  (stats st).Stats.bt_nodes_visited <- (stats st).Stats.bt_nodes_visited + 1
 
 (* ------------------------------------------------------------------ *)
 (* Exec and frame bookkeeping                                          *)
@@ -245,13 +195,13 @@ let rec undo_exec st exec =
       | Eframe (f, _) -> undo_frame st f)
     exec.x_stack;
   exec.x_stack <- [];
-  K.untrail st exec.x_trail 0;
+  M.untrail st exec.x_trail 0;
   (* crossing this exec's markers (if it has any) costs a node each *)
   if exec.x_input_marker then charge_bt_node st;
   if exec.x_end_marker then charge_bt_node st
 
 and undo_frame st frame =
-  charge st st.cost.Cost.frame_unwind;
+  charge st st.ag.cost.Cost.frame_unwind;
   for i = 0 to frame.f_nslots - 1 do
     let slot = frame.f_slots.(i) in
     (match slot.sl_exec with
@@ -292,10 +242,8 @@ let rec aborting exec =
 
 let ctx_of st exec = { st.ctx with Builtins.trail = exec.x_trail }
 
-let call_builtin st exec goal = K.call_builtin st (ctx_of st exec) goal
-
 let try_clause st exec goal clause =
-  K.resolve st ~ctx:(ctx_of st exec) ~compiled:st.config.Config.compile
+  M.resolve st ~ctx:(ctx_of st exec) ~compiled:st.config.Config.compile
     ~trail:exec.x_trail goal clause
 
 (* SPO: the procrastinated input marker materialises just before the first
@@ -316,140 +264,11 @@ let push_cp st exec ~goal ~alts ~cont =
     Ecp { a_goal = goal; a_alts = alts; a_cont = cont; a_trail = Trail.mark exec.x_trail }
     :: exec.x_stack
 
-(* Forward execution inside [exec].  Returns true on success of the whole
-   continuation.  May recursively create and wait on parcall frames.
-   Raises [Killed] if an ancestor frame starts failing. *)
-let rec exec_run st (agent : agent_state) exec (cont : Clause.item list) : bool =
-  check_cancel st;
-  if aborting exec then raise Killed;
-  match cont with
-  | [] -> true
-  | Clause.Par bodies :: rest -> exec_parcall st agent exec bodies rest
-  | Clause.Call g :: rest -> dispatch st agent exec g rest
-  | Clause.Exec xf :: rest -> exec_frame_item st agent exec xf rest
-
-(* Resumes a compiled clause body from its saved pc.  No environment
-   trimming here: choice points on this exec's private stack may resume
-   the frame at an earlier pc, and recomputation may replay it. *)
-and exec_frame_item st agent exec xf cont =
-  match K.exec_body st ~ctx:(ctx_of st exec) xf with
-  | Kernel.Ex_fail -> exec_backtrack st agent exec
-  | Kernel.Ex_done -> exec_run st agent exec cont
-  | Kernel.Ex_goal (g, pc) ->
-    dispatch st agent exec g (Kernel.exec_cont xf pc cont)
-  | Kernel.Ex_par (bodies, pc) ->
-    exec_parcall st agent exec bodies (Kernel.exec_cont xf pc cont)
-  | Kernel.Ex_call (sym, arity, pc, _live) ->
-    user_call_regs st agent exec sym arity (Kernel.exec_cont xf pc cont)
-  | Kernel.Ex_exec (sym, arity) -> user_call_regs st agent exec sym arity cont
-
-(* Schedules what one clause try resolved to; [R_exec] re-enters clause
-   selection straight from the registers (last-call optimization). *)
-and continue st agent exec resolved cont =
-  match resolved with
-  | Kernel.R_fail -> exec_backtrack st agent exec
-  | Kernel.R_body body -> exec_run st agent exec (body @ cont)
-  | Kernel.R_exec (sym, arity) -> user_call_regs st agent exec sym arity cont
-
-and user_call_regs st agent exec sym arity cont =
-  check_cancel st;
-  if aborting exec then raise Killed;
-  let regs = st.scratches.(agent.ag_id).Code.s_regs in
-  if Database.is_tabled st.db sym arity then
-    (* materialize the register call: tabled answers must outlive the
-       registers, and the table keys on the goal term *)
-    user_call st agent exec (Kernel.goal_of_regs sym arity regs) cont
-  else
-  match K.select_args st st.db sym arity regs with
-  | [] -> exec_backtrack st agent exec
-  | [ clause ] ->
-    continue st agent exec
-      (K.try_code_args st ~ctx:(ctx_of st exec) ~trail:exec.x_trail regs clause)
-      cont
-  | clause :: rest ->
-    (* nondeterminate: materialize the goal once — the alternatives in
-       the choice point must outlive the registers *)
-    let g = Kernel.goal_of_regs sym arity regs in
-    push_cp st exec ~goal:g ~alts:rest ~cont;
-    continue st agent exec (try_clause st exec g clause) cont
-
-and dispatch st agent exec g cont =
-  let g = Term.deref g in
-  if Kernel.is_plain g then
-    (* the hot case, allocation-free: a plain user or builtin call *)
-    match call_builtin st exec g with
-    | Builtins.Ok -> exec_run st agent exec cont
-    | Builtins.Fail -> exec_backtrack st agent exec
-    | Builtins.Not_builtin -> user_call st agent exec g cont
-  else
-    match Kernel.classify g with
-    | Kernel.Cut ->
-      Errors.error "cut is not supported inside the and-parallel engine"
-    | Kernel.Disj _ | Kernel.Ite _ | Kernel.Naf _ -> K.unsupported st g
-    | Kernel.Conj g | Kernel.Amp g ->
-      exec_run st agent exec (Clause.compile_body g @ cont)
-    | Kernel.Meta g -> dispatch st agent exec g cont
-    | Kernel.Sentinel _ | Kernel.Goal _ -> (
-      match call_builtin st exec g with
-      | Builtins.Ok -> exec_run st agent exec cont
-      | Builtins.Fail -> exec_backtrack st agent exec
-      | Builtins.Not_builtin -> user_call st agent exec g cont)
-
-and user_call st agent exec g cont =
-  let clauses =
-    (* tabled predicates answer from the shared table; the kernel
-       completes the subgoal first when needed (see Kernel.table_call) *)
-    if Database.is_tabled_goal st.db g then
-      K.table_call st ~table:st.table ~ctx:(ctx_of st exec)
-        ~compiled:st.config.Config.compile ~db:st.db g
-    else K.select st ~compiled:st.config.Config.compile st.db g
-  in
-  match clauses with
-  | [] -> exec_backtrack st agent exec
-  | [ clause ] -> continue st agent exec (try_clause st exec g clause) cont
-  | clause :: rest ->
-    push_cp st exec ~goal:g ~alts:rest ~cont;
-    continue st agent exec (try_clause st exec g clause) cont
-
-(* Backtracking inside one exec.  Walks the private stack: choice points
-   are retried; completed parcall frames get outside backtracking. *)
-and exec_backtrack st agent exec : bool =
-  check_cancel st;
-  (shard st).Stats.backtracks <- (shard st).Stats.backtracks + 1;
-  match exec.x_stack with
-  | [] -> false
-  | Ecp cp :: below -> (
-    charge_bt_node st;
-    match cp.a_alts with
-    | [] ->
-      if Prof.live (psh st) then Prof.fail (psh st) (Prof.key_of_term cp.a_goal);
-      exec.x_stack <- below;
-      exec_backtrack st agent exec
-    | clause :: alts ->
-      if Prof.live (psh st) then Prof.redo (psh st) (Prof.key_of_term cp.a_goal);
-      K.untrail st exec.x_trail cp.a_trail;
-      charge st st.cost.Cost.cp_restore;
-      if alts = [] then exec.x_stack <- below
-      else begin
-        cp.a_alts <- alts;
-        (shard st).Stats.cp_updates <- (shard st).Stats.cp_updates + 1
-      end;
-      continue st agent exec (try_clause st exec cp.a_goal clause) cp.a_cont)
-  | Eframe (frame, mark) :: below ->
-    charge st st.cost.Cost.frame_unwind;
-    (shard st).Stats.bt_nodes_visited <- (shard st).Stats.bt_nodes_visited + 1;
-    K.untrail st exec.x_trail mark;
-    if retry_frame st agent frame then exec_run st agent exec frame.f_cont
-    else begin
-      exec.x_stack <- below;
-      exec_backtrack st agent exec
-    end
-
 (* ------------------------------------------------------------------ *)
 (* Parcall frames                                                      *)
 (* ------------------------------------------------------------------ *)
 
-and make_slot frame index body =
+let make_slot frame index body =
   {
     sl_frame = frame;
     sl_index = index;
@@ -460,81 +279,24 @@ and make_slot frame index body =
     sl_spliced = [];
   }
 
-and exec_parcall st agent exec bodies rest =
-  (* Granularity control (sequentialization schema, §4): a parallel
-     conjunction whose estimated work is too small to amortize a frame runs
-     as a plain conjunction in the current execution.  The estimate is the
-     bounded term size of the branch goals — for list recursions this is
-     proportional to the remaining input, so the top of a computation
-     forks and the fine-grained bottom stays sequential. *)
-  let sequentialize =
-    st.config.Config.seq_threshold > 0
-    &&
-    (charge st st.cost.Cost.runtime_check;
-     Kernel.Schema.sequentialize st.config bodies)
-  in
-  if sequentialize then begin
-    (shard st).Stats.seq_hits <- (shard st).Stats.seq_hits + 1;
-    exec_run st agent exec (List.concat bodies @ rest)
-  end
-  else begin
-  (* LPCO: determinate slot whose body ends in a parcall — splice into the
-     enclosing frame instead of nesting. *)
-  let lpco_applicable =
-    st.config.Config.lpco && rest = [] && exec.x_stack = []
-    &&
-    match exec.x_slot with
-    | Some slot -> not slot.sl_frame.f_failing
-    | None -> false
-  in
-  if st.config.Config.lpco then charge st st.cost.Cost.runtime_check;
-  if lpco_applicable then begin
-    let slot = Option.get exec.x_slot in
-    let frame = slot.sl_frame in
-    (shard st).Stats.lpco_hits <- (shard st).Stats.lpco_hits + 1;
-    (shard st).Stats.frames_avoided <- (shard st).Stats.frames_avoided + 1;
-    record_ev st Trace.Lpco_hit frame.f_id;
-    slot.sl_spliced <- splice_slots st frame ~after_slot:slot bodies;
-    register_frame st frame;
-    (* this slot is done: its residual work now lives in the new slots *)
-    true
-  end
-  else begin
-    let frame = alloc_frame st agent exec bodies rest in
-    register_frame st frame;
-    if run_frame st agent frame then begin
-      exec.x_stack <- Eframe (frame, Trail.mark exec.x_trail) :: exec.x_stack;
-      if frame.f_nondet then exec.x_det <- false;
-      exec_run st agent exec rest
-    end
-    else
-      (* inside failure: the parcall as a whole fails; continue backtracking
-         at older entries of this exec — this is the level-by-level failure
-         propagation that LPCO's flattening short-circuits. *)
-      exec_backtrack st agent exec
-  end
-  end
-
-and alloc_frame st agent exec bodies rest =
+let alloc_frame st agent exec bodies rest =
   let n = List.length bodies in
-  dbg "[a%d] alloc_frame n=%d depth_slot=%s@." agent.ag_id n
-    (match exec.x_slot with None -> "root" | Some s -> Printf.sprintf "f%d.%d" s.sl_frame.f_id s.sl_index);
-  charge st (st.cost.Cost.frame_alloc + (n * st.cost.Cost.slot_init));
-  (shard st).Stats.frames <- (shard st).Stats.frames + 1;
-  (shard st).Stats.slots <- (shard st).Stats.slots + n;
-  (if Prof.live (psh st) then begin
-     Prof.slots (psh st) n;
-     Prof.spawned (psh st) n
+  charge st (st.ag.cost.Cost.frame_alloc + (n * st.ag.cost.Cost.slot_init));
+  (stats st).Stats.frames <- (stats st).Stats.frames + 1;
+  (stats st).Stats.slots <- (stats st).Stats.slots + n;
+  (if Prof.live (prof st) then begin
+     Prof.slots (prof st) n;
+     Prof.spawned (prof st) n
    end);
-  (shard st).Stats.stack_words <-
-    (shard st).Stats.stack_words + Cost.words_frame_base + (n * Cost.words_per_slot);
+  (stats st).Stats.stack_words <-
+    (stats st).Stats.stack_words + Cost.words_frame_base + (n * Cost.words_per_slot);
   let depth =
     match exec.x_slot with
     | None -> 1
     | Some slot -> slot.sl_frame.f_depth + 1
   in
-  if depth > (shard st).Stats.max_frame_nesting then
-    (shard st).Stats.max_frame_nesting <- depth;
+  if depth > (stats st).Stats.max_frame_nesting then
+    (stats st).Stats.max_frame_nesting <- depth;
   st.frame_counter <- st.frame_counter + 1;
   let frame =
     {
@@ -556,21 +318,21 @@ and alloc_frame st agent exec bodies rest =
   (match slots with
    | first :: _ -> first.sl_no_input <- true
    | [] -> ());
-  record_ev st Trace.Task_spawn n;
+  record st Trace.Task_spawn n;
   frame
 
 (* LPCO splice: insert the nested parcall's subgoals as fresh slots right
    after [after], preserving sequential order for backward execution. *)
-and splice_slots st frame ~after_slot bodies =
+let splice_slots st frame ~after_slot bodies =
   let k = List.length bodies in
-  charge st (k * st.cost.Cost.slot_init);
-  (shard st).Stats.slots <- (shard st).Stats.slots + k;
-  (if Prof.live (psh st) then begin
-     Prof.slots (psh st) k;
-     Prof.spawned (psh st) k
+  charge st (k * st.ag.cost.Cost.slot_init);
+  (stats st).Stats.slots <- (stats st).Stats.slots + k;
+  (if Prof.live (prof st) then begin
+     Prof.slots (prof st) k;
+     Prof.spawned (prof st) k
    end);
-  (shard st).Stats.stack_words <-
-    (shard st).Stats.stack_words + (k * Cost.words_per_slot);
+  (stats st).Stats.stack_words <-
+    (stats st).Stats.stack_words + (k * Cost.words_per_slot);
   (* the delegator's index is read *after* the tick above: a concurrent
      splice by another agent may have shifted it, and inserting at a stale
      position would break the delegator-before-children invariant that
@@ -592,7 +354,7 @@ and splice_slots st frame ~after_slot bodies =
 
 (* Removes [dead] slots (by physical identity) from the frame, re-indexing
    the survivors.  Does not touch [f_pending]; callers recount. *)
-and remove_slots frame dead =
+let remove_slots frame dead =
   if dead <> [] then begin
     let keep =
       Array.to_list frame.f_slots
@@ -606,7 +368,7 @@ and remove_slots frame dead =
 (* Fully frees a slot for recomputation.  A delegated slot removes its
    spliced products from the frame (recursively): its re-execution will
    splice fresh ones, so leaving the old ones would duplicate work. *)
-and reset_slot st frame slot =
+let rec reset_slot st frame slot =
   List.iter (fun child -> reset_slot st frame child) slot.sl_spliced;
   remove_slots frame slot.sl_spliced;
   slot.sl_spliced <- [];
@@ -616,10 +378,170 @@ and reset_slot st frame slot =
   slot.sl_exec <- None;
   slot.sl_state <- Sfree
 
+(* Waits until no slot is still running on another agent, then undoes all
+   slot executions.  Used on the failure paths. *)
+let drain_and_cleanup st frame =
+  let someone_running () =
+    let rec go i =
+      if i >= frame.f_nslots then false
+      else
+        match frame.f_slots.(i).sl_state with
+        | Srunning _ -> true
+        | Sfree | Sdone | Sfailed | Skilled -> go (i + 1)
+    in
+    go 0
+  in
+  while someone_running () do
+    charge st st.ag.cost.Cost.steal_poll;
+    (stats st).Stats.polls <- (stats st).Stats.polls + 1
+  done;
+  undo_frame st frame;
+  unregister_frame st frame
+
+(* Claims a slot for [agent].  The state change happens before any tick,
+   so acquisition is atomic in the simulation: no other agent can claim the
+   same slot. *)
+let claim_slot agent slot = slot.sl_state <- Srunning agent.ag_id
+
+(* Picks and claims a stealable slot from any registered frame.  Frames
+   found with no free slot are dropped from the pool as we go: a slot can
+   only become free again through outside backtracking, which re-registers
+   the frame — keeping exhausted frames around would make every steal scan
+   the entire history of the computation (and did, before this pruning). *)
+let steal st agent =
+  chaos_yield st;
+  let visited = ref 0 in
+  let rec scan = function
+    | [] ->
+      st.pool <- [];
+      None
+    | frame :: rest ->
+      incr visited;
+      (* injected steal failure: pass over this frame as if it had no
+         free slot; its slots stay claimable for later scans *)
+      if frame.f_failing || Chaos.steal_blocked st.ag.chaos.(agent.ag_id) then
+        scan rest
+      else (
+        match take_free_slot frame with
+        | Some slot ->
+          claim_slot agent slot;
+          st.pool <- frame :: rest;
+          Some slot
+        | None -> scan rest)
+  in
+  let result = scan st.pool in
+  (stats st).Stats.polls <- (stats st).Stats.polls + max 1 !visited;
+  (match result with
+   | Some slot ->
+     charge st ((!visited * st.ag.cost.Cost.steal_poll) + st.ag.cost.Cost.steal_grab);
+     (stats st).Stats.steals <- (stats st).Stats.steals + 1;
+     (if Prof.live (prof st) then
+        match slot.sl_body with
+        | Clause.Call g :: _ -> Prof.stole (prof st) (Prof.key_of_term g)
+        | _ -> ());
+     record st Trace.Steal slot.sl_frame.f_owner
+   | None -> charge st (max 1 !visited * st.ag.cost.Cost.steal_poll));
+  result
+
+(* ------------------------------------------------------------------ *)
+(* The machine hooks: backtracking and parcalls                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Backtracking inside one exec.  Walks the private stack: choice points
+   are retried; completed parcall frames get outside backtracking. *)
+let rec exec_backtrack loop st exec : bool =
+  check_cancel st;
+  (stats st).Stats.backtracks <- (stats st).Stats.backtracks + 1;
+  match exec.x_stack with
+  | [] -> false
+  | Ecp cp :: below -> (
+    charge_bt_node st;
+    match cp.a_alts with
+    | [] ->
+      if Prof.live (prof st) then Prof.fail (prof st) (Prof.key_of_term cp.a_goal);
+      exec.x_stack <- below;
+      exec_backtrack loop st exec
+    | clause :: alts ->
+      if Prof.live (prof st) then Prof.redo (prof st) (Prof.key_of_term cp.a_goal);
+      M.untrail st exec.x_trail cp.a_trail;
+      charge st st.ag.cost.Cost.cp_restore;
+      if alts = [] then exec.x_stack <- below
+      else begin
+        cp.a_alts <- alts;
+        (stats st).Stats.cp_updates <- (stats st).Stats.cp_updates + 1
+      end;
+      loop.Machine.continue st exec (try_clause st exec cp.a_goal clause)
+        ~barrier:0 cp.a_cont)
+  | Eframe (frame, mark) :: below ->
+    charge st st.ag.cost.Cost.frame_unwind;
+    (stats st).Stats.bt_nodes_visited <- (stats st).Stats.bt_nodes_visited + 1;
+    M.untrail st exec.x_trail mark;
+    if retry_frame loop st (agent st) frame then loop.run st exec frame.f_cont
+    else begin
+      exec.x_stack <- below;
+      exec_backtrack loop st exec
+    end
+
+and exec_parcall loop st exec bodies ~barrier rest =
+  (* Granularity control (sequentialization schema, §4): a parallel
+     conjunction whose estimated work is too small to amortize a frame runs
+     as a plain conjunction in the current execution.  The estimate is the
+     bounded term size of the branch goals — for list recursions this is
+     proportional to the remaining input, so the top of a computation
+     forks and the fine-grained bottom stays sequential. *)
+  let sequentialize =
+    st.config.Config.seq_threshold > 0
+    &&
+    (charge st st.ag.cost.Cost.runtime_check;
+     Kernel.Schema.sequentialize st.config bodies)
+  in
+  if sequentialize then begin
+    (stats st).Stats.seq_hits <- (stats st).Stats.seq_hits + 1;
+    loop.Machine.run st exec (Machine.conj bodies barrier rest)
+  end
+  else begin
+  (* LPCO: determinate slot whose body ends in a parcall — splice into the
+     enclosing frame instead of nesting. *)
+  let lpco_applicable =
+    st.config.Config.lpco && rest = [] && exec.x_stack = []
+    &&
+    match exec.x_slot with
+    | Some slot -> not slot.sl_frame.f_failing
+    | None -> false
+  in
+  if st.config.Config.lpco then charge st st.ag.cost.Cost.runtime_check;
+  if lpco_applicable then begin
+    let slot = Option.get exec.x_slot in
+    let frame = slot.sl_frame in
+    (stats st).Stats.lpco_hits <- (stats st).Stats.lpco_hits + 1;
+    (stats st).Stats.frames_avoided <- (stats st).Stats.frames_avoided + 1;
+    record st Trace.Lpco_hit frame.f_id;
+    slot.sl_spliced <- splice_slots st frame ~after_slot:slot bodies;
+    register_frame st frame;
+    (* this slot is done: its residual work now lives in the new slots *)
+    true
+  end
+  else begin
+    let agent = agent st in
+    let frame = alloc_frame st agent exec bodies rest in
+    register_frame st frame;
+    if run_frame loop st agent frame then begin
+      exec.x_stack <- Eframe (frame, Trail.mark exec.x_trail) :: exec.x_stack;
+      if frame.f_nondet then exec.x_det <- false;
+      loop.run st exec rest
+    end
+    else
+      (* inside failure: the parcall as a whole fails; continue backtracking
+         at older entries of this exec — this is the level-by-level failure
+         propagation that LPCO's flattening short-circuits. *)
+      exec_backtrack loop st exec
+  end
+  end
+
 (* The owner's wait loop: execute free slots (preferring this frame), help
    other frames, or idle until the frame completes or fails. *)
-and run_frame st agent frame : bool =
-  let rec loop () =
+and run_frame loop st agent frame : bool =
+  let rec wait () =
     if aborting frame.f_parent then begin
       (* an ancestor failed: take this frame down, then unwind *)
       frame.f_failing <- true;
@@ -632,94 +554,27 @@ and run_frame st agent frame : bool =
     end
     else if frame.f_pending = 0 then begin
       unregister_frame st frame;
-      dbg "[a%d] frame f%d complete@." agent.ag_id frame.f_id;
       true
     end
     else
       match take_free_slot frame with
       | Some slot ->
         claim_slot agent slot;
-        run_slot st agent slot;
-        loop ()
+        run_slot loop st agent slot;
+        wait ()
       | None -> (
         match steal st agent with
         | Some slot ->
-          run_slot st agent slot;
-          loop ()
-        | None -> loop ())
+          run_slot loop st agent slot;
+          wait ()
+        | None -> wait ())
   in
-  loop ()
-
-(* Waits until no slot is still running on another agent, then undoes all
-   slot executions.  Used on the failure paths. *)
-and drain_and_cleanup st frame =
-  let someone_running () =
-    let rec go i =
-      if i >= frame.f_nslots then false
-      else
-        match frame.f_slots.(i).sl_state with
-        | Srunning _ -> true
-        | Sfree | Sdone | Sfailed | Skilled -> go (i + 1)
-    in
-    go 0
-  in
-  while someone_running () do
-    charge st st.cost.Cost.steal_poll;
-    (shard st).Stats.polls <- (shard st).Stats.polls + 1
-  done;
-  undo_frame st frame;
-  unregister_frame st frame
-
-(* Claims a slot for [agent].  The state change happens before any tick,
-   so acquisition is atomic in the simulation: no other agent can claim the
-   same slot. *)
-and claim_slot agent slot = slot.sl_state <- Srunning agent.ag_id
-
-(* Picks and claims a stealable slot from any registered frame.  Frames
-   found with no free slot are dropped from the pool as we go: a slot can
-   only become free again through outside backtracking, which re-registers
-   the frame — keeping exhausted frames around would make every steal scan
-   the entire history of the computation (and did, before this pruning). *)
-and steal st agent =
-  chaos_yield st;
-  let visited = ref 0 in
-  let rec scan = function
-    | [] ->
-      st.pool <- [];
-      None
-    | frame :: rest ->
-      incr visited;
-      (* injected steal failure: pass over this frame as if it had no
-         free slot; its slots stay claimable for later scans *)
-      if frame.f_failing || Chaos.steal_blocked st.chaos.(agent.ag_id) then
-        scan rest
-      else (
-        match take_free_slot frame with
-        | Some slot ->
-          claim_slot agent slot;
-          st.pool <- frame :: rest;
-          Some slot
-        | None -> scan rest)
-  in
-  let result = scan st.pool in
-  (shard st).Stats.polls <- (shard st).Stats.polls + max 1 !visited;
-  (match result with
-   | Some slot ->
-     charge st ((!visited * st.cost.Cost.steal_poll) + st.cost.Cost.steal_grab);
-     (shard st).Stats.steals <- (shard st).Stats.steals + 1;
-     (if Prof.live (psh st) then
-        match slot.sl_body with
-        | Clause.Call g :: _ -> Prof.stole (psh st) (Prof.key_of_term g)
-        | _ -> ());
-     record_ev st Trace.Steal slot.sl_frame.f_owner
-   | None -> charge st (max 1 !visited * st.cost.Cost.steal_poll));
-  result
+  wait ()
 
 (* Executes one slot to completion (or failure/kill).  All marker
    bookkeeping — including the SPO and PDO variants — lives here. *)
-and run_slot st agent slot =
+and run_slot loop st agent slot =
   let frame = slot.sl_frame in
-  dbg "[a%d] run_slot f%d.%d@." agent.ag_id frame.f_id slot.sl_index;
   assert (match slot.sl_state with Srunning id -> id = agent.ag_id | _ -> false);
   let exec = make_exec ~slot () in
   slot.sl_exec <- Some exec;
@@ -727,7 +582,7 @@ and run_slot st agent slot =
      preceding slot of the same frame? *)
   let contiguous =
     st.config.Config.pdo
-    && (charge st st.cost.Cost.runtime_check;
+    && (charge st st.ag.cost.Cost.runtime_check;
         Kernel.Schema.pdo_contiguous st.config
           ~last:
             (match agent.ag_last_done with
@@ -746,16 +601,16 @@ and run_slot st agent slot =
    | Some _ | None -> ());
   agent.ag_pending_end <- None;
   if contiguous then begin
-    (shard st).Stats.pdo_hits <- (shard st).Stats.pdo_hits + 1;
-    (shard st).Stats.markers_avoided <- (shard st).Stats.markers_avoided + 2;
-    record_ev st Trace.Pdo_hit frame.f_id
+    (stats st).Stats.pdo_hits <- (stats st).Stats.pdo_hits + 1;
+    (stats st).Stats.markers_avoided <- (stats st).Stats.markers_avoided + 2;
+    record st Trace.Pdo_hit frame.f_id
   end
   else if slot.sl_no_input && agent.ag_id = frame.f_owner then
     (* first subgoal run in place by the owner: the parcall frame itself
        marks its beginning (paper, Figure 2) *)
     ()
   else if st.config.Config.spo then begin
-    charge st st.cost.Cost.runtime_check;
+    charge st st.ag.cost.Cost.runtime_check;
     exec.x_marker_pending <- true
   end
   else begin
@@ -763,10 +618,10 @@ and run_slot st agent slot =
     charge_marker st ~input:true
   end;
   agent.ag_last_done <- None;
-  charge st st.cost.Cost.task_switch;
-  (shard st).Stats.task_switches <- (shard st).Stats.task_switches + 1;
-  record_ev st Trace.Task_start frame.f_id;
-  match exec_run st agent exec slot.sl_body with
+  charge st st.ag.cost.Cost.task_switch;
+  (stats st).Stats.task_switches <- (stats st).Stats.task_switches + 1;
+  record st Trace.Task_start frame.f_id;
+  match loop.Machine.run st exec (Machine.push slot.sl_body 0 []) with
   | true ->
     if not exec.x_det then frame.f_nondet <- true;
     (* completion markers *)
@@ -780,9 +635,9 @@ and run_slot st agent slot =
       (* SPO payoff: subgoal finished without ever creating a choice point;
          neither marker is needed — only the trail section survives. *)
       exec.x_marker_pending <- false;
-      (shard st).Stats.spo_hits <- (shard st).Stats.spo_hits + 1;
-      (shard st).Stats.markers_avoided <- (shard st).Stats.markers_avoided + 2;
-      record_ev st Trace.Spo_hit frame.f_id
+      (stats st).Stats.spo_hits <- (stats st).Stats.spo_hits + 1;
+      (stats st).Stats.markers_avoided <- (stats st).Stats.markers_avoided + 2;
+      record st Trace.Spo_hit frame.f_id
     end
     else if st.config.Config.pdo then
       (* defer the end marker: the next scheduling decision may merge *)
@@ -793,23 +648,22 @@ and run_slot st agent slot =
     end;
     slot.sl_state <- Sdone;
     frame.f_pending <- frame.f_pending - 1;
-    dbg "[a%d] done f%d.%d pending=%d@." agent.ag_id frame.f_id slot.sl_index frame.f_pending;
-    record_ev st Trace.Task_finish frame.f_id;
+    record st Trace.Task_finish frame.f_id;
     agent.ag_last_done <- Some slot
   | false ->
     (* inside failure: the whole parcall fails *)
-    (shard st).Stats.kills <- (shard st).Stats.kills + 1;
-    charge st st.cost.Cost.kill_signal;
+    (stats st).Stats.kills <- (stats st).Stats.kills + 1;
+    charge st st.ag.cost.Cost.kill_signal;
     undo_exec st exec;
     slot.sl_state <- Sfailed;
     frame.f_failing <- true;
-    record_ev st Trace.Task_finish frame.f_id
+    record st Trace.Task_finish frame.f_id
   | exception Killed ->
-    charge st st.cost.Cost.kill_signal;
-    (shard st).Stats.kills <- (shard st).Stats.kills + 1;
+    charge st st.ag.cost.Cost.kill_signal;
+    (stats st).Stats.kills <- (stats st).Stats.kills + 1;
     undo_exec st exec;
     slot.sl_state <- Skilled;
-    record_ev st Trace.Task_finish frame.f_id
+    record st Trace.Task_finish frame.f_id
 
 (* ------------------------------------------------------------------ *)
 (* Outside backtracking: retrying a completed frame                    *)
@@ -817,15 +671,15 @@ and run_slot st agent slot =
 
 (* Advances [slot]'s execution to its next solution; false when the slot is
    exhausted (in which case it is fully undone and reset). *)
-and retry_slot st agent slot =
+and retry_slot loop st slot =
   match slot.sl_exec with
   | None -> false
   | Some exec ->
-    charge st st.cost.Cost.task_switch;
-    (shard st).Stats.task_switches <- (shard st).Stats.task_switches + 1;
+    charge st st.ag.cost.Cost.task_switch;
+    (stats st).Stats.task_switches <- (stats st).Stats.task_switches + 1;
     (* crossing the slot's end marker to get into it *)
     if exec.x_end_marker then charge_bt_node st;
-    if exec_backtrack st agent exec then true
+    if exec_backtrack loop st exec then true
     else begin
       reset_slot st slot.sl_frame slot;
       false
@@ -835,17 +689,14 @@ and retry_slot st agent slot =
    owning alternatives, then recompute the slots to its right in parallel
    (sound under strict independence).  Returns false when the frame is
    exhausted (all slots then reset and the frame is dead). *)
-and retry_frame st agent frame : bool =
-  dbg "[a%d] retry_frame f%d nslots=%d@." agent.ag_id frame.f_id frame.f_nslots;
+and retry_frame loop st agent frame : bool =
   let rec scan j =
     if j < 0 then false
     else begin
-      charge st st.cost.Cost.frame_linear_scan;
+      charge st st.ag.cost.Cost.frame_linear_scan;
       assert (j < frame.f_nslots);
       let slot = frame.f_slots.(j) in
-      dbg "[a%d] retry scan f%d.%d state=%s@." agent.ag_id frame.f_id j
-        (match slot.sl_state with Sdone -> "done" | Sfree -> "free" | Srunning _ -> "running" | Sfailed -> "failed" | Skilled -> "killed");
-      if retry_slot st agent slot then begin
+      if retry_slot loop st slot then begin
         (* recompute everything to the right, in parallel; spliced slots
            leave the frame with their delegators and will be re-spliced *)
         for k = frame.f_nslots - 1 downto j + 1 do
@@ -857,10 +708,9 @@ and retry_frame st agent frame : bool =
         done;
         frame.f_pending <- !to_recompute;
         frame.f_failing <- false;
-        dbg "[a%d] retry ok f%d.%d recompute=%d@." agent.ag_id frame.f_id j !to_recompute;
         if !to_recompute > 0 then begin
           register_frame st frame;
-          if run_frame st agent frame then true
+          if run_frame loop st agent frame then true
           else
             (* recomputation failed: only possible when the annotation was
                not strictly independent; treat as frame failure *)
@@ -871,8 +721,50 @@ and retry_frame st agent frame : bool =
       else scan (j - 1)
     end
   in
-  (shard st).Stats.backtracks <- (shard st).Stats.backtracks + 1;
+  (stats st).Stats.backtracks <- (stats st).Stats.backtracks + 1;
   scan (frame.f_nslots - 1)
+
+module L = M.Loop (struct
+  type nonrec t = t
+  type m = exec
+  type r = bool
+
+  let halt = false
+  let db st = st.db
+  let table st = st.table
+  let compiled st = st.config.Config.compile
+  let ctx = ctx_of
+  let height _ _ = 0
+
+  (* choice points on this exec's private stack may resume a frame at an
+     earlier pc, and recomputation may replay it *)
+  let trims = false
+
+  (* a fired token, or a failing ancestor frame, unwinds the agent *)
+  let proceed st exec = function
+    | Machine.Call -> true
+    | Machine.Step | Machine.Call_regs ->
+      check_cancel st;
+      if aborting exec then raise Killed;
+      true
+
+  let empty _ _ _ = true
+
+  let nondet st exec g clause rest cont =
+    push_cp st exec ~goal:g ~alts:rest ~cont;
+    try_clause st exec g clause
+
+  let backtrack = exec_backtrack
+  let par = exec_parcall
+
+  let control loop st exec cls g ~barrier cont =
+    match cls with
+    | Kernel.Cut -> Errors.error "cut is not supported inside the and-parallel engine"
+    | Kernel.Amp g ->
+      loop.Machine.run st exec (Machine.push (Clause.compile_body g) barrier cont)
+    | Kernel.Sentinel _ -> loop.call st exec g cont
+    | _ -> M.unsupported st g
+end)
 
 (* ------------------------------------------------------------------ *)
 (* Agents and the top-level query                                      *)
@@ -880,11 +772,11 @@ and retry_frame st agent frame : bool =
 
 let worker_body st agent () =
   let rec loop () =
-    if st.finished then ()
+    if Agents.stopped st.ag then ()
     else begin
       check_cancel st;
       (match steal st agent with
-       | Some slot -> run_slot st agent slot
+       | Some slot -> run_slot L.loop st agent slot
        | None -> ());
       loop ()
     end
@@ -893,100 +785,41 @@ let worker_body st agent () =
      stop the simulation and park — idempotent when [check_cancel] already
      stopped it, and needed when the kernel's tabling chokepoint raised *)
   try loop ()
-  with Cancel.Cancelled ->
-    st.finished <- true;
-    Sim.stop st.sim
+  with Cancel.Cancelled -> Agents.stop st.ag
 
 let root_body st () =
-  let agent = st.agents.(0) in
   let exec = make_exec () in
-  let record () =
-    (shard st).Stats.solutions <- (shard st).Stats.solutions + 1;
-    st.sol_count <- st.sol_count + 1;
-    record_ev st Trace.Solution st.sol_count;
-    st.solutions <- Term.copy_resolved st.goal :: st.solutions
-  in
-  let want_more () =
-    match st.config.Config.max_solutions with
-    | None -> true
-    | Some limit -> st.sol_count < limit
-  in
   let rec drive ok =
-    if ok then begin
-      record ();
-      if want_more () then drive (exec_backtrack st agent exec) else ()
-    end
-    else ()
+    if ok && Agents.solution st.ag st.goal then
+      drive (L.backtrack st exec)
   in
-  (try drive (exec_run st agent exec (Clause.compile_body st.goal))
+  (try drive (L.run st exec (Machine.push (Clause.compile_body st.goal) 0 []))
    with
    | Killed -> assert false (* the root exec has no ancestor frames *)
    | Cancel.Cancelled -> () (* solutions recorded so far stand *));
-  st.finished <- true;
-  Sim.stop st.sim
+  Agents.stop st.ag
 
-let create ?output ?(trace = Trace.disabled) ?(chaos = Chaos.disabled)
-    ?(prof = Prof.disabled) ?table ?(cancel = Cancel.none) (config : Config.t)
-    db goal =
+let solve ?output ?(trace = Trace.disabled) ?(chaos = Chaos.disabled)
+    ?(prof = Prof.disabled) ~table ~cancel (config : Config.t) db goal =
   let config = Config.validate config in
-  let sim = Sim.create ~max_steps:3_000_000 () in
-  let agents =
-    Array.init config.Config.agents (fun i ->
-        { ag_id = i; ag_last_done = None; ag_pending_end = None })
+  let st =
+    {
+      db;
+      table;
+      config;
+      ag = Agents.create ~trace ~chaos ~prof ~cancel config;
+      ctx = Builtins.make_ctx ?output ~trail:(Trail.create ()) ();
+      agents =
+        Array.init config.Config.agents (fun i ->
+            { ag_id = i; ag_last_done = None; ag_pending_end = None });
+      pool = [];
+      frame_counter = 0;
+      goal;
+    }
   in
-  let shards = Array.init config.Config.agents (fun _ -> Stats.create ()) in
-  let pshards =
-    Array.init config.Config.agents (fun i ->
-        if Prof.enabled prof then
-          Prof.shard prof ~dom:i ~stats:shards.(i)
-            ~clock:(fun () -> Sim.now sim)
-            ()
-        else Prof.null)
-  in
-  {
-    db;
-    table =
-      (match table with
-      | Some t -> t
-      | None -> Table.create ~max_answers:config.Config.table_max_answers ());
-    config;
-    cost = config.Config.cost;
-    shards;
-    tbufs = Array.init config.Config.agents (fun i -> Trace.buffer trace ~dom:i);
-    chaos = Array.init config.Config.agents (fun i -> Chaos.agent chaos i);
-    sim;
-    ctx = Builtins.make_ctx ?output ~trail:(Trail.create ()) ();
-    agents;
-    scratches = Array.init config.Config.agents (fun _ -> Code.create_scratch ());
-    pshards;
-    pool = [];
-    frame_counter = 0;
-    cancel;
-    finished = false;
-    sol_count = 0;
-    solutions = [];
-    goal;
-  }
-
-type result = {
-  solutions : Term.t list;
-  stats : Stats.t; (* merged over all simulated agents *)
-  per_agent : Stats.t array; (* the per-agent shards behind [stats] *)
-  time : int; (* simulated completion time in abstract cycles *)
-}
-
-let run st =
-  Sim.spawn st.sim ~agent:0 (root_body st);
-  for i = 1 to st.config.Config.agents - 1 do
-    Sim.spawn st.sim ~agent:i (worker_body st st.agents.(i))
+  Sim.spawn st.ag.sim ~agent:0 (root_body st);
+  for i = 1 to config.Config.agents - 1 do
+    Sim.spawn st.ag.sim ~agent:i (worker_body st st.agents.(i))
   done;
-  Sim.run st.sim;
-  {
-    solutions = List.rev st.solutions;
-    stats = Kernel.merge_shards st.shards;
-    per_agent = st.shards;
-    time = Sim.stop_time st.sim;
-  }
-
-let solve ?output ?trace ?chaos ?prof ?table ?cancel config db goal =
-  run (create ?output ?trace ?chaos ?prof ?table ?cancel config db goal)
+  Sim.run st.ag.sim;
+  Agents.result st.ag

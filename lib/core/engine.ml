@@ -1,4 +1,4 @@
-(* Facade over the three engines, exposing one result type so that the
+(* Facade over the four engines, exposing one result type so that the
    harness, tests and examples can sweep engine × configuration
    uniformly. *)
 
@@ -20,7 +20,7 @@ let kind_to_string = function
   | Or_parallel -> "or"
   | Par_or -> "par"
 
-type result = {
+type result = Machine.result = {
   solutions : Term.t list;
   stats : Stats.t;
   metrics : Metrics.t;
@@ -86,6 +86,13 @@ let run ?output ?trace ?chaos ?prof ?table ?(cancel = Cancel.none) ?session
         ~locked:(kind = Par_or)
         ~max_answers:config.Config.table_max_answers ()
   in
+  (* however the run ends (exhaustion, solution limit, cancel, error) its
+     bindings die with it: the query's variables are unbound again, so
+     the same parsed goal can be run again *)
+  let query_vars = Term.variables goal in
+  Fun.protect ~finally:(fun () ->
+      List.iter (fun (v : Term.var) -> v.Term.binding <- None) query_vars)
+  @@ fun () ->
   with_alloc_counters @@ fun () ->
   match kind with
   | Sequential ->
@@ -103,39 +110,12 @@ let run ?output ?trace ?chaos ?prof ?table ?(cancel = Cancel.none) ?session
       cancelled = Cancel.fired cancel;
     }
   | And_parallel ->
-    let r =
-      And_engine.solve ?output ?trace ?chaos ?prof ~table ~cancel config db goal
-    in
-    {
-      solutions = r.And_engine.solutions;
-      stats = r.And_engine.stats;
-      metrics = Metrics.of_stats_array r.And_engine.per_agent;
-      time = r.And_engine.time;
-      cancelled = Cancel.fired cancel;
-    }
+    And_engine.solve ?output ?trace ?chaos ?prof ~table ~cancel config db goal
   | Or_parallel ->
-    let r =
-      Or_engine.solve ?output ?trace ?chaos ?prof ~table ~cancel config db goal
-    in
-    {
-      solutions = r.Or_engine.solutions;
-      stats = r.Or_engine.stats;
-      metrics = Metrics.of_stats_array r.Or_engine.per_agent;
-      time = r.Or_engine.time;
-      cancelled = Cancel.fired cancel;
-    }
+    Or_engine.solve ?output ?trace ?chaos ?prof ~table ~cancel config db goal
   | Par_or ->
-    let r =
-      Par_or_engine.solve ?output ?trace ?chaos ?prof ~table ~cancel config db
-        goal
-    in
-    {
-      solutions = r.Par_or_engine.solutions;
-      stats = r.Par_or_engine.stats;
-      metrics = r.Par_or_engine.metrics;
-      time = r.Par_or_engine.wall_ns;
-      cancelled = Cancel.fired cancel;
-    }
+    Par_or_engine.solve ?output ?trace ?chaos ?prof ~table ~cancel config db
+      goal
 
 let solve ?output ?trace ?chaos ?prof ?table ?cancel kind config db goal =
   run ?output ?trace ?chaos ?prof ?table ?cancel kind config (prepare db) goal

@@ -1,4 +1,5 @@
-(** Facade over the sequential, and-parallel and or-parallel engines. *)
+(** Facade over the four engines: sequential, simulated and-parallel,
+    simulated or-parallel and multicore or+and. *)
 
 type kind =
   | Sequential
@@ -11,7 +12,7 @@ type kind =
 
 val kind_to_string : kind -> string
 
-type result = {
+type result = Machine.result = {
   solutions : Ace_term.Term.t list;
   stats : Ace_machine.Stats.t;
   metrics : Ace_obs.Metrics.t;
@@ -81,7 +82,11 @@ val session : prepared -> Ace_lang.Database.t
     far.
 
     [session] runs the query against a session overlay (from {!session})
-    instead of the shared base. *)
+    instead of the shared base.
+
+    However the run ends — exhaustion, [config.max_solutions], a cancel
+    or an error — the query's variables are unbound again when [run]
+    returns, so one parsed goal can be run any number of times. *)
 val run :
   ?output:Buffer.t ->
   ?trace:Ace_obs.Trace.t ->

@@ -88,11 +88,6 @@ let sentinel_body goal =
   Clause.compile_body goal
   @ [ Clause.Call (Term.Struct (Symbol.solution, [| goal |])) ]
 
-let merge_shards shards =
-  let total = Stats.create () in
-  Array.iter (fun s -> Stats.merge_into ~into:total s) shards;
-  total
-
 (* What one clause try resolved to.  [R_exec] is the last-call case: the
    clause's body ran to its final user call entirely on the scratch
    frame, the callee's arguments are loaded in the scratch registers,
@@ -121,13 +116,6 @@ let code_of_frame (xf : Clause.exec_frame) =
   | Code.Compiled code -> code
   | _ -> assert false (* Exec frames are built from compiled clauses only *)
 
-(* The continuation for resuming [xf] at [pc]: dropped entirely when the
-   body is exhausted (the last-call generalization — no empty frames are
-   ever stacked). *)
-let exec_cont xf pc rest =
-  if pc >= Array.length (code_of_frame xf).Code.c_body then rest
-  else Clause.Exec { xf with Clause.xf_pc = pc } :: rest
-
 (* Materializes a register call as an ordinary goal term — the slow
    path, taken only when clause selection leaves more than one candidate
    (the goal must outlive the scratch registers inside choice points). *)
@@ -146,29 +134,6 @@ let trim_env (xf : Clause.exec_frame) live =
   done
 
 module Resolver (S : SCHEDULER) = struct
-  let call_builtin s (ctx : Builtins.ctx) goal =
-    let cost = S.cost s and stats = S.stats s in
-    let steps0 = !(ctx.Builtins.steps)
-    and arith0 = !(ctx.Builtins.arith_nodes) in
-    let trail0 = Trail.size ctx.Builtins.trail in
-    let outcome = Builtins.call ctx goal in
-    let steps = !(ctx.Builtins.steps) - steps0 in
-    let arith = !(ctx.Builtins.arith_nodes) - arith0 in
-    let pushed = max 0 (Trail.size ctx.Builtins.trail - trail0) in
-    S.charge s cost.Cost.builtin;
-    S.charge s ((steps * cost.Cost.unify_step) + (arith * cost.Cost.arith_op));
-    S.charge s (pushed * cost.Cost.trail_push);
-    stats.Stats.builtin_calls <- stats.Stats.builtin_calls + 1;
-    stats.Stats.unify_steps <- stats.Stats.unify_steps + steps;
-    stats.Stats.trail_pushes <- stats.Stats.trail_pushes + pushed;
-    let psh = S.prof s in
-    (if Prof.live psh then
-       match outcome with
-       | Builtins.Ok -> Prof.builtin psh (Prof.key_of_term goal) ~ok:true
-       | Builtins.Fail -> Prof.builtin psh (Prof.key_of_term goal) ~ok:false
-       | Builtins.Not_builtin -> ());
-    outcome
-
   let untrail s trail mark =
     let undone = Trail.undo_to trail mark in
     if undone > 0 then begin
@@ -208,21 +173,18 @@ module Resolver (S : SCHEDULER) = struct
     stats.Stats.trail_pushes <- stats.Stats.trail_pushes + pushed;
     outcome
 
-  (* [call_builtin] with the goal's arguments spread in a register file
-     (no goal term exists; the compiled body path). *)
-  let call_builtin_args s (ctx : Builtins.ctx) sym arity args =
+  let call_builtin s (ctx : Builtins.ctx) goal =
     let steps0 = !(ctx.Builtins.steps)
     and arith0 = !(ctx.Builtins.arith_nodes) in
     let trail0 = Trail.size ctx.Builtins.trail in
     let outcome =
-      builtin_epilogue s ctx steps0 arith0 trail0
-        (Builtins.call_args ctx sym arity args)
+      builtin_epilogue s ctx steps0 arith0 trail0 (Builtins.call ctx goal)
     in
     let psh = S.prof s in
     (if Prof.live psh then
        match outcome with
-       | Builtins.Ok -> Prof.builtin psh (Prof.key sym arity) ~ok:true
-       | Builtins.Fail -> Prof.builtin psh (Prof.key sym arity) ~ok:false
+       | Builtins.Ok -> Prof.builtin psh (Prof.key_of_term goal) ~ok:true
+       | Builtins.Fail -> Prof.builtin psh (Prof.key_of_term goal) ~ok:false
        | Builtins.Not_builtin -> ());
     outcome
 
@@ -993,24 +955,6 @@ module Copy = struct
     | Term.Struct (f, args) ->
       Term.Struct (f, Array.map (snapshot_term table cells) args)
 
-  let rec snapshot_body table cells body =
-    List.map
-      (function
-        | Clause.Call g -> Clause.Call (snapshot_term table cells g)
-        | Clause.Exec xf ->
-          (* the environment is copied cell-wise through the same table,
-             so variables shared between the frame and the rest of the
-             continuation stay shared in the copy *)
-          Clause.Exec
-            {
-              xf with
-              Clause.xf_env =
-                Array.map (snapshot_term table cells) xf.Clause.xf_env;
-            }
-        | Clause.Par bodies ->
-          Clause.Par (List.map (snapshot_body table cells) bodies))
-      body
-
   (* Bound variables copied as bound variables, so the receiving trail
      can undo them independently (MUSE stack copy). *)
   let rec raw_term table cells t =
@@ -1030,19 +974,18 @@ module Copy = struct
          | None -> ());
         Term.Var v')
 
-  let rec raw_items table cells items =
+  (* Maps [f] over every term of a body: goals, compiled environments
+     (cell-wise through the same copier, so variables shared between a
+     frame and the rest of the continuation stay shared in the copy) and
+     parallel branches.  Cells are counted by the term copiers only. *)
+  let rec items f body =
     List.map
       (function
-        | Clause.Call g -> Clause.Call (raw_term table cells g)
+        | Clause.Call g -> Clause.Call (f g)
         | Clause.Exec xf ->
-          Clause.Exec
-            {
-              xf with
-              Clause.xf_env = Array.map (raw_term table cells) xf.Clause.xf_env;
-            }
-        | Clause.Par bodies ->
-          Clause.Par (List.map (raw_items table cells) bodies))
-      items
+          Clause.Exec { xf with Clause.xf_env = Array.map f xf.Clause.xf_env }
+        | Clause.Par bodies -> Clause.Par (List.map (items f) bodies))
+      body
 
   let raw_var table cells v =
     match raw_term table cells (Term.Var v) with

@@ -6,8 +6,11 @@
     the frozen database, unify a renamed head, and undo the trail on
     failure — while charging the {!Ace_machine.Cost} table and updating a
     {!Ace_machine.Stats} shard.  This module owns that common machinery,
-    parameterized by a small {!SCHEDULER} signature so each engine keeps
-    only its scheduling policy (stacks, stealing, frames, publication).
+    parameterized by a small {!SCHEDULER} signature.  The loop that
+    drives it is shared too: {!Machine.Make} applies {!Resolver} to an
+    engine's scheduler and runs the one machine loop over it, so each
+    engine keeps only its scheduling policy (choice points, stealing,
+    frames, publication) as the loop's hooks.
 
     The paper's optimization schemas (LPCO, LAO, SPO, PDO and the
     sequentialization/granularity schema) are exposed as pure,
@@ -97,11 +100,6 @@ val is_plain : Term.t -> bool
     the compiled query followed by the ['$solution'] sentinel. *)
 val sentinel_body : Term.t -> Clause.body
 
-(** Merges per-agent stat shards into a fresh total (the shards must no
-    longer be written; see the {!Stats.merge_into} ownership
-    contract). *)
-val merge_shards : Stats.t array -> Stats.t
-
 (** What one clause try resolved to.  [R_exec] is the last-call case:
     the clause body ran to its final user call entirely on the scratch
     frame, the callee's arguments are loaded in the scratch registers
@@ -129,11 +127,6 @@ type executed =
 (** The {!Ace_lang.Code.t} behind an [Exec] item's extensible code slot. *)
 val code_of_frame : Clause.exec_frame -> Ace_lang.Code.t
 
-(** [exec_cont xf pc rest] is the continuation that resumes [xf] at
-    [pc] — just [rest] when the body is exhausted, so no empty frames
-    are ever stacked (the last-call generalization). *)
-val exec_cont : Clause.exec_frame -> int -> Clause.body -> Clause.body
-
 (** Materializes a register call as a goal term (the multi-candidate
     slow path: goals inside choice points must outlive the registers). *)
 val goal_of_regs : Ace_term.Symbol.t -> int -> Term.t array -> Term.t
@@ -149,38 +142,26 @@ module Resolver (S : SCHEDULER) : sig
   (** Runs a builtin, translating its unification/arithmetic work and
       trail growth into charges and stats. *)
 
-  val call_builtin_args :
-    S.t -> Builtins.ctx -> Ace_term.Symbol.t -> int -> Term.t array ->
-    Builtins.outcome
-  (** {!call_builtin} with the arguments spread in a register file — no
-      goal term exists on the compiled body path. *)
-
-  val try_clause : S.t -> trail:Trail.t -> Term.t -> Clause.t -> resolved
-  (** Unifies a renamed clause head against the goal; on success returns
-      the instantiated body ([R_body], never [R_exec]), on failure
-      undoes the partial bindings (charged). *)
-
-  val try_code :
-    S.t -> ctx:Builtins.ctx -> trail:Trail.t -> Term.t -> Clause.t -> resolved
-  (** Compiled counterpart of {!try_clause}: executes the clause's flat
-      instruction code ({!Ace_lang.Code}) against the goal arguments —
-      same trail contract, charged per executed instruction
-      ([Cost.code_instr]) plus embedded unification steps.  A
-      scratch-eligible body (builtins + final execute) runs to its last
-      call inline, yielding [R_exec] or [R_body []]; any other body
-      escapes as one [Clause.Exec] item over a heap environment
-      (counted in [Stats.env_allocs]). *)
+  val resolve :
+    S.t -> ctx:Builtins.ctx -> compiled:bool -> trail:Trail.t -> Term.t ->
+    Clause.t -> resolved
+  (** One clause try against [goal].  Interpreted: unifies a renamed
+      clause head; on success returns the instantiated body ([R_body],
+      never [R_exec]), on failure undoes the partial bindings (charged).
+      [compiled]: executes the clause's flat instruction code
+      ({!Ace_lang.Code}) against the goal arguments — same trail
+      contract, charged per executed instruction ([Cost.code_instr]) plus
+      embedded unification steps.  A scratch-eligible body (builtins +
+      final execute) runs to its last call inline, yielding [R_exec] or
+      [R_body []]; any other body escapes as one [Clause.Exec] item over
+      a heap environment (counted in [Stats.env_allocs]). *)
 
   val try_code_args :
     S.t -> ctx:Builtins.ctx -> trail:Trail.t -> Term.t array -> Clause.t ->
     resolved
-  (** {!try_code} with the caller's arguments spread in a register file
-      (the [R_exec] fast path — no goal term on either side). *)
-
-  val resolve :
-    S.t -> ctx:Builtins.ctx -> compiled:bool -> trail:Trail.t -> Term.t ->
-    Clause.t -> resolved
-  (** {!try_code} when [compiled], {!try_clause} otherwise. *)
+  (** The compiled {!resolve} with the caller's arguments spread in a
+      register file (the [R_exec] fast path — no goal term on either
+      side). *)
 
   val exec_body : S.t -> ctx:Builtins.ctx -> Clause.exec_frame -> executed
   (** Executes a compiled body from its saved pc: consecutive builtins
@@ -194,14 +175,11 @@ module Resolver (S : SCHEDULER) : sig
       try (used to replay recorded and-parallel solutions); undoes on
       failure. *)
 
-  val lookup : S.t -> Database.t -> Term.t -> Clause.t list
-  (** Indexed clause lookup; raises the existence error for unknown
-      procedures. *)
-
   val select : S.t -> compiled:bool -> Database.t -> Term.t -> Clause.t list
-  (** Mode-aware {!lookup}: the compiled path selects through the
-      deep-indexing dispatch tree ({!Database.lookup_code}), the
-      interpreted path through first-argument indexing. *)
+  (** Indexed clause selection, raising the existence error for unknown
+      procedures: the compiled path selects through the deep-indexing
+      dispatch tree ({!Database.lookup_code}), the interpreted path
+      through first-argument indexing. *)
 
   val select_args :
     S.t -> Database.t -> Ace_term.Symbol.t -> int -> Term.t array ->
@@ -267,18 +245,20 @@ module Schema : sig
       of allocating a new node. *)
 end
 
-(** State copying shared by the copying engines: [snapshot_*] resolves
-    bindings away (publishing self-contained tasks), [raw_*] preserves
-    bindings so the receiving trail can undo them (MUSE stack copy).
-    [cells] counts copied cells for cost accounting. *)
+(** State copying shared by the copying engines: [snapshot_term]
+    resolves bindings away (publishing self-contained tasks), [raw_term]
+    preserves bindings so the receiving trail can undo them (MUSE stack
+    copy).  [cells] counts copied term cells for cost accounting. *)
 module Copy : sig
   type table = (int, Term.var) Hashtbl.t
 
   val snapshot_term : table -> int ref -> Term.t -> Term.t
-  val snapshot_body : table -> int ref -> Clause.body -> Clause.body
   val raw_term : table -> int ref -> Term.t -> Term.t
-  val raw_items : table -> int ref -> Clause.item list -> Clause.item list
   val raw_var : table -> int ref -> Term.var -> Term.var
+
+  val items : (Term.t -> Term.t) -> Clause.item list -> Clause.item list
+  (** Maps a term copier over every term of a body (goals, compiled
+      environments, parallel branches). *)
 end
 
 (** Helpers for recomputation-free and-parallel joins: each parcall slot

@@ -32,7 +32,6 @@
 module Term = Ace_term.Term
 module Trail = Ace_term.Trail
 module Clause = Ace_lang.Clause
-module Code = Ace_lang.Code
 module Database = Ace_lang.Database
 module Table = Ace_lang.Table
 module Cost = Ace_machine.Cost
@@ -46,7 +45,7 @@ module Prof = Ace_obs.Prof
 type ocp = {
   mutable o_goal : Term.t;
   mutable o_alts : Clause.t list ref; (* shared with copies of this node *)
-  mutable o_cont : Clause.item list;
+  mutable o_cont : Machine.cont;
   mutable o_trail : int;
 }
 
@@ -61,76 +60,21 @@ type t = {
   db : Database.t;
   table : Table.t; (* shared answer table for tabled predicates *)
   config : Config.t;
-  cost : Cost.t;
-  shards : Stats.t array; (* one per simulated worker *)
-  tbufs : Trace.buffer array; (* one trace ring per simulated worker *)
-  chaos : Chaos.agent array; (* per-worker schedule-jitter streams *)
-  sim : Sim.t;
+  ag : Agents.t; (* the simulator and the per-worker shards *)
   workers : worker array;
-  scratches : Code.scratch array; (* per-agent frame buffer + registers *)
-  pshards : Prof.shard array; (* per-agent profiler shards *)
-  goal : Term.t;
   output : Buffer.t option;
-  cancel : Cancel.t;
-    (* polled at the call/backtrack chokepoints; once fired the run stops
-       through the same finished+stop path as a solution limit *)
-  mutable finished : bool;
   mutable idle_count : int;
-  mutable sol_count : int;
-  mutable solutions : Term.t list; (* newest first *)
 }
 
-let charge (_st : t) n = Sim.tick n
-
-(* Counter updates are attributed to the agent the simulator is currently
-   stepping: the coroutines run on one OS thread, so the "current agent"
-   is exact at every update site (interleaving happens only at ticks). *)
-let cur st =
-  let c = Sim.current_agent st.sim in
-  if c < 0 then 0 else c
-
-let shard st = st.shards.(cur st)
-let psh st = st.pshards.(cur st)
-
-let tbuf st = st.tbufs.(cur st)
-
-(* Events are stamped with the virtual clock, so an exported trace shows
-   the simulated schedule. *)
-let record st kind arg = Trace.record_at (tbuf st) ~ts:(Sim.now st.sim) kind arg
-
-(* Schedule-exploration yield site: chaos may charge a few extra virtual
-   cycles here.  The simulator always resumes the agent with the smallest
-   clock, so each jitter seed deterministically selects one alternative
-   interleaving of the same search. *)
-let chaos_yield st =
-  let j = Chaos.jitter st.chaos.(cur st) in
-  if j > 0 then Sim.tick j
-
-(* The kernel resolver instantiated for this engine: charges tick the
-   discrete-event simulator, stats go to the current agent's shard. *)
-module K = Kernel.Resolver (struct
+module A = Agents.Scheduler (struct
   type nonrec t = t
 
   let name = "the or-parallel engine"
-  let cost st = st.cost
-  let stats = shard
-  let charge = charge
-
-  (* One scratch per simulated agent: a context switch at a tick can
-     never hand one agent's half-loaded registers to another. *)
-  let scratch st = st.scratches.(cur st)
-  let prof = psh
-  let record = record
-  let cancel st = st.cancel
+  let agents st = st.ag
 end)
 
-(* Cancellation observed: stop the whole search exactly like a solution
-   limit — [Sim.stop] discards the other agents' pending continuations,
-   abandoning their (private) stacks and trails mid-flight, as when a
-   real query completes. *)
-let stop st =
-  st.finished <- true;
-  Sim.stop st.sim
+open A
+module M = Machine.Make (A)
 
 (* ------------------------------------------------------------------ *)
 (* Raw state copying (the MUSE stack copy)                             *)
@@ -142,13 +86,14 @@ let stop st =
 let copy_state st ~victim ~thief =
   let table = Hashtbl.create 256 in
   let cells = ref 0 in
+  let raw = Kernel.Copy.raw_term table cells in
   let cps =
     List.map
       (fun cp ->
         {
-          o_goal = Kernel.Copy.raw_term table cells cp.o_goal;
+          o_goal = raw cp.o_goal;
           o_alts = cp.o_alts; (* shared *)
-          o_cont = Kernel.Copy.raw_items table cells cp.o_cont;
+          o_cont = Machine.map_cont raw cp.o_cont;
           o_trail = cp.o_trail;
         })
       victim.w_cps
@@ -159,206 +104,128 @@ let copy_state st ~victim ~thief =
   Array.iter (fun v -> Trail.push trail (Kernel.Copy.raw_var table cells v)) entries;
   thief.w_cps <- cps;
   thief.w_trail <- trail;
-  charge st (st.cost.Cost.copy_setup + (!cells * st.cost.Cost.copy_cell));
-  (shard st).Stats.copies <- (shard st).Stats.copies + 1;
-  (shard st).Stats.copied_cells <- (shard st).Stats.copied_cells + !cells;
-  if Prof.live (psh st) then Prof.copied (psh st) !cells;
+  charge st (st.ag.cost.Cost.copy_setup + (!cells * st.ag.cost.Cost.copy_cell));
+  (stats st).Stats.copies <- (stats st).Stats.copies + 1;
+  (stats st).Stats.copied_cells <- (stats st).Stats.copied_cells + !cells;
+  if Prof.live (prof st) then Prof.copied (prof st) !cells;
   record st Trace.Copy !cells
 
 (* ------------------------------------------------------------------ *)
-(* Resolution                                                          *)
+(* The machine hooks                                                   *)
 (* ------------------------------------------------------------------ *)
 
 let ctx_of st w = Builtins.make_ctx ?output:st.output ~trail:w.w_trail ()
 
-let call_builtin st w goal = K.call_builtin st (ctx_of st w) goal
-
 let try_clause st w goal clause =
-  K.resolve st ~ctx:(ctx_of st w) ~compiled:st.config.Config.compile
+  M.resolve st ~ctx:(ctx_of st w) ~compiled:st.config.Config.compile
     ~trail:w.w_trail goal clause
 
 (* Choice-point creation, with the LAO check: if the current top node is
    exhausted, refurbish it in place instead of allocating a new node. *)
-let debug = ref false
-
 let push_cp st w ~goal ~alts ~cont =
-  if !debug then Format.eprintf "[w%d] push_cp %s alts=%d@." w.w_id (Ace_term.Pp.to_string goal) (List.length alts);
   chaos_yield st;
-  if st.config.Config.lao then charge st st.cost.Cost.runtime_check;
+  let cost = st.ag.cost in
+  if st.config.Config.lao then charge st cost.Cost.runtime_check;
   match w.w_cps with
   | top :: _
     when Kernel.Schema.lao_refurbish st.config ~top_exhausted:(!(top.o_alts) = []) ->
-    charge st st.cost.Cost.lao_update;
-    (shard st).Stats.cp_updates <- (shard st).Stats.cp_updates + 1;
-    (shard st).Stats.lao_hits <- (shard st).Stats.lao_hits + 1;
+    charge st cost.Cost.lao_update;
+    (stats st).Stats.cp_updates <- (stats st).Stats.cp_updates + 1;
+    (stats st).Stats.lao_hits <- (stats st).Stats.lao_hits + 1;
     record st Trace.Lao_hit (List.length alts);
     top.o_goal <- goal;
     top.o_alts <- ref alts; (* fresh ref: old copies keep their dead ref *)
     top.o_cont <- cont;
     top.o_trail <- Trail.mark w.w_trail
   | _ ->
-    charge st st.cost.Cost.cp_alloc;
-    (shard st).Stats.cp_allocs <- (shard st).Stats.cp_allocs + 1;
-    (shard st).Stats.stack_words <-
-      (shard st).Stats.stack_words + Cost.words_choice_point;
+    charge st cost.Cost.cp_alloc;
+    (stats st).Stats.cp_allocs <- (stats st).Stats.cp_allocs + 1;
+    (stats st).Stats.stack_words <-
+      (stats st).Stats.stack_words + Cost.words_choice_point;
     w.w_cps <-
       { o_goal = goal; o_alts = ref alts; o_cont = cont; o_trail = Trail.mark w.w_trail }
       :: w.w_cps
 
-let record_solution st =
-  (shard st).Stats.solutions <- (shard st).Stats.solutions + 1;
-  st.sol_count <- st.sol_count + 1;
-  record st Trace.Solution st.sol_count
-
-(* Forward execution until a failure (solutions report-and-fail via the
-   sentinel) or engine shutdown.  Returns when the worker has no local
-   alternatives left. *)
-let rec run_worker st w (cont : Clause.item list) : unit =
-  if st.finished then ()
-  else
-    match cont with
-    | [] ->
-      (* only reachable for a goal without the sentinel; treat as done *)
-      backtrack st w
-    | Clause.Par bodies :: rest ->
-      (* the or-engine runs '&' sequentially *)
-      run_worker st w (List.concat bodies @ rest)
-    | Clause.Call g :: rest -> dispatch st w g rest
-    | Clause.Exec xf :: rest -> exec_frame st w xf rest
-
-(* Resumes a compiled clause body from its saved pc.  No environment
-   trimming here: a stolen (copied) stack may still reference the frame
-   at an earlier pc, so dead slots must survive. *)
-and exec_frame st w xf cont =
-  match K.exec_body st ~ctx:(ctx_of st w) xf with
-  | Kernel.Ex_fail -> backtrack st w
-  | Kernel.Ex_done -> run_worker st w cont
-  | Kernel.Ex_goal (g, pc) -> dispatch st w g (Kernel.exec_cont xf pc cont)
-  | Kernel.Ex_par (bodies, pc) ->
-    run_worker st w (List.concat bodies @ Kernel.exec_cont xf pc cont)
-  | Kernel.Ex_call (sym, arity, pc, _live) ->
-    user_call_regs st w sym arity (Kernel.exec_cont xf pc cont)
-  | Kernel.Ex_exec (sym, arity) -> user_call_regs st w sym arity cont
-
-(* Schedules what one clause try resolved to; [R_exec] re-enters clause
-   selection straight from the registers (last-call optimization). *)
-and continue st w resolved cont =
-  match resolved with
-  | Kernel.R_fail -> backtrack st w
-  | Kernel.R_body body -> run_worker st w (body @ cont)
-  | Kernel.R_exec (sym, arity) -> user_call_regs st w sym arity cont
-
-and user_call_regs st w sym arity cont =
-  if st.finished then ()
-  else
-    let regs = st.scratches.(w.w_id).Code.s_regs in
-    if Database.is_tabled st.db sym arity then
-      (* materialize the register call: tabled answers must outlive the
-         registers, and the table keys on the goal term *)
-      user_call st w (Kernel.goal_of_regs sym arity regs) cont
-    else
-    match K.select_args st st.db sym arity regs with
-    | [] -> backtrack st w
-    | [ clause ] ->
-      continue st w
-        (K.try_code_args st ~ctx:(ctx_of st w) ~trail:w.w_trail regs clause)
-        cont
-    | clause :: rest ->
-      (* nondeterminate: materialize the goal once — the alternatives in
-         the (shareable) choice point must outlive the registers *)
-      let g = Kernel.goal_of_regs sym arity regs in
-      push_cp st w ~goal:g ~alts:rest ~cont;
-      continue st w (try_clause st w g clause) cont
-
-and dispatch st w g cont =
-  let g = Term.deref g in
-  if Kernel.is_plain g then
-    (* the hot case, allocation-free: a plain user or builtin call *)
-    match call_builtin st w g with
-    | Builtins.Ok -> run_worker st w cont
-    | Builtins.Fail -> backtrack st w
-    | Builtins.Not_builtin -> user_call st w g cont
-  else
-    dispatch_control st w g cont
-
-and dispatch_control st w g cont =
-  match Kernel.classify g with
-  | Kernel.Sentinel goal ->
-    if !debug then Format.eprintf "[w%d] solution %s@." w.w_id (Ace_term.Pp.to_string goal);
-    record_solution st;
-    st.solutions <- Term.copy_resolved goal :: st.solutions;
-    let enough =
-      match st.config.Config.max_solutions with
-      | Some limit -> st.sol_count >= limit
-      | None -> false
-    in
-    if enough then begin
-      st.finished <- true;
-      Sim.stop st.sim
-    end
-    else backtrack st w (* report-and-fail drives the full search *)
-  | Kernel.Cut | Kernel.Disj _ | Kernel.Ite _ | Kernel.Naf _ ->
-    K.unsupported st (Term.deref g)
-  | Kernel.Conj g | Kernel.Amp g -> run_worker st w (Clause.compile_body g @ cont)
-  | Kernel.Meta g -> dispatch st w g cont
-  | Kernel.Goal g -> (
-    (* unreachable from [dispatch] (filtered by [is_plain]); kept for
-       direct [classify] completeness *)
-    match call_builtin st w g with
-    | Builtins.Ok -> run_worker st w cont
-    | Builtins.Fail -> backtrack st w
-    | Builtins.Not_builtin -> user_call st w g cont)
-
-and user_call st w g cont =
-  if Cancel.poll st.cancel then stop st
-  else
-  match
-    (* tabled predicates answer from the shared table; the kernel
-       completes the subgoal first when needed (see Kernel.table_call) *)
-    if Database.is_tabled_goal st.db g then
-      K.table_call st ~table:st.table ~ctx:(ctx_of st w)
-        ~compiled:st.config.Config.compile ~db:st.db g
-    else K.select st ~compiled:st.config.Config.compile st.db g
-  with
-  | exception Cancel.Cancelled ->
-    (* an abort inside the tabling mini-solver: the entry stays
-       incomplete but consistent (Kernel.table_call's contract) *)
-    stop st
-  | [] -> backtrack st w
-  | [ clause ] -> continue st w (try_clause st w g clause) cont
-  | clause :: rest ->
-    push_cp st w ~goal:g ~alts:rest ~cont;
-    continue st w (try_clause st w g clause) cont
-
 (* Local backtracking: exhausted nodes are popped (each visit charged); a
-   node with remaining shared alternatives yields the next one. *)
-and backtrack st w =
-  if !debug then
-    Format.eprintf "[w%d] backtrack stack=%d top_alts=%s@." w.w_id (List.length w.w_cps)
-      (match w.w_cps with [] -> "-" | cp :: _ -> string_of_int (List.length !(cp.o_alts)));
-  (shard st).Stats.backtracks <- (shard st).Stats.backtracks + 1;
-  if st.finished then ()
-  else if Cancel.poll st.cancel then stop st
+   node with remaining shared alternatives yields the next one.  Returns
+   when the worker has no local alternatives left. *)
+let rec backtrack (loop : (t, worker, unit) Machine.loop) st w =
+  (stats st).Stats.backtracks <- (stats st).Stats.backtracks + 1;
+  if Agents.stopped st.ag then ()
+  else if Cancel.poll st.ag.cancel then Agents.stop st.ag
   else begin
     chaos_yield st;
     match w.w_cps with
     | [] -> () (* no local work left: the worker loop will go stealing *)
     | cp :: below -> (
-      charge st st.cost.Cost.backtrack_node;
-      (shard st).Stats.bt_nodes_visited <- (shard st).Stats.bt_nodes_visited + 1;
+      charge st st.ag.cost.Cost.backtrack_node;
+      (stats st).Stats.bt_nodes_visited <- (stats st).Stats.bt_nodes_visited + 1;
       match !(cp.o_alts) with
       | [] ->
-        if Prof.live (psh st) then Prof.fail (psh st) (Prof.key_of_term cp.o_goal);
+        if Prof.live (prof st) then Prof.fail (prof st) (Prof.key_of_term cp.o_goal);
         w.w_cps <- below;
-        backtrack st w
+        backtrack loop st w
       | clause :: alts ->
-        if !debug then Format.eprintf "[w%d] retry %s@." w.w_id (Ace_term.Pp.to_string cp.o_goal);
-        if Prof.live (psh st) then Prof.redo (psh st) (Prof.key_of_term cp.o_goal);
+        if Prof.live (prof st) then Prof.redo (prof st) (Prof.key_of_term cp.o_goal);
         cp.o_alts := alts;
-        K.untrail st w.w_trail cp.o_trail;
-        charge st st.cost.Cost.cp_restore;
-        continue st w (try_clause st w cp.o_goal clause) cp.o_cont)
+        M.untrail st w.w_trail cp.o_trail;
+        charge st st.ag.cost.Cost.cp_restore;
+        loop.continue st w (try_clause st w cp.o_goal clause) ~barrier:0 cp.o_cont)
   end
+
+(* Solutions: the root continuation ends in the ['$solution'] sentinel,
+   which records the bindings and fails (report-and-fail drives the full
+   search). *)
+let control loop st w cls g ~barrier cont =
+  match cls with
+  | Kernel.Sentinel goal ->
+    if Agents.solution st.ag goal then backtrack loop st w
+    else Agents.stop st.ag
+  | Kernel.Amp g ->
+    loop.Machine.run st w (Machine.push (Clause.compile_body g) barrier cont)
+  | _ -> M.unsupported st g
+
+module L = M.Loop (struct
+  type nonrec t = t
+  type m = worker
+  type r = unit
+
+  let halt = ()
+  let db st = st.db
+  let table st = st.table
+  let compiled st = st.config.Config.compile
+  let ctx = ctx_of
+  let height _ _ = 0
+
+  (* a stolen (copied) stack may still reference a frame at an earlier
+     pc, so dead slots must survive *)
+  let trims = false
+
+  (* a fired token stops the whole search exactly like a solution limit *)
+  let proceed st _ = function
+    | Machine.Step | Machine.Call_regs -> not (Agents.stopped st.ag)
+    | Machine.Call ->
+      if Cancel.poll st.ag.cancel then begin
+        Agents.stop st.ag;
+        false
+      end
+      else true
+
+  (* only reachable for a goal without the sentinel: treat as done *)
+  let empty = backtrack
+
+  let nondet st w g clause rest cont =
+    push_cp st w ~goal:g ~alts:rest ~cont;
+    try_clause st w g clause
+
+  let backtrack = backtrack
+
+  (* the or-engine runs '&' sequentially *)
+  let par (loop : (t, worker, unit) Machine.loop) st w bodies ~barrier cont =
+    loop.run st w (Machine.conj bodies barrier cont)
+
+  let control = control
+end)
 
 (* ------------------------------------------------------------------ *)
 (* Or-scheduler: scanning and stealing                                 *)
@@ -378,8 +245,8 @@ let find_work st victim =
       if !(cp.o_alts) <> [] then Some cp else scan above
   in
   let result = scan (List.rev victim.w_cps) in
-  (shard st).Stats.or_scans <- (shard st).Stats.or_scans + !visited;
-  (result, !visited * st.cost.Cost.or_scan_node)
+  (stats st).Stats.or_scans <- (stats st).Stats.or_scans + !visited;
+  (result, !visited * st.ag.cost.Cost.or_scan_node)
 
 (* Steals from the first victim (in id order after the thief) that has
    work: copy the whole state, backtrack the copy to the stolen node, pop
@@ -393,7 +260,7 @@ let try_steal st (w : worker) =
       (* injected steal failure: skip this victim as if it had no work *)
       if
         victim.w_id = w.w_id || victim.w_cps = []
-        || Chaos.steal_blocked st.chaos.(w.w_id)
+        || Chaos.steal_blocked st.ag.chaos.(w.w_id)
       then attempt (k + 1)
       else begin
         (* scan, claim and copy happen without an intervening tick: a live
@@ -410,7 +277,6 @@ let try_steal st (w : worker) =
             charge st scan_cost;
             attempt (k + 1)
           | clause :: alts ->
-            if !debug then Format.eprintf "[w%d] steal claim %s (left %d)@." w.w_id (Ace_term.Pp.to_string target.o_goal) (List.length alts);
             (* claim, remember the claimed ref, and copy — all before the
                first tick, so the victim cannot mutate underneath.  Leaving
                the idle set must be atomic with the claim, or another
@@ -418,10 +284,10 @@ let try_steal st (w : worker) =
                claimed work and declare premature exhaustion. *)
             let claimed_ref = target.o_alts in
             claimed_ref := alts;
-            (if Prof.live (psh st) then begin
+            (if Prof.live (prof st) then begin
                let k = Prof.key_of_term target.o_goal in
-               Prof.stole (psh st) k;
-               Prof.redo (psh st) k
+               Prof.stole (prof st) k;
+               Prof.redo (prof st) k
              end);
             if w.w_idle then begin
               w.w_idle <- false;
@@ -442,12 +308,12 @@ let try_steal st (w : worker) =
               | rest -> rest
             in
             w.w_cps <- drop w.w_cps;
-            charge st (visited * st.cost.Cost.backtrack_node);
-            (shard st).Stats.bt_nodes_visited <-
-              (shard st).Stats.bt_nodes_visited + visited;
-            K.untrail st w.w_trail cp.o_trail;
-            charge st (st.cost.Cost.cp_restore + st.cost.Cost.steal_grab);
-            (shard st).Stats.steals <- (shard st).Stats.steals + 1;
+            charge st (visited * st.ag.cost.Cost.backtrack_node);
+            (stats st).Stats.bt_nodes_visited <-
+              (stats st).Stats.bt_nodes_visited + visited;
+            M.untrail st w.w_trail cp.o_trail;
+            charge st (st.ag.cost.Cost.cp_restore + st.ag.cost.Cost.steal_grab);
+            (stats st).Stats.steals <- (stats st).Stats.steals + 1;
             record st Trace.Steal victim.w_id;
             Some (cp, clause))
       end
@@ -456,24 +322,21 @@ let try_steal st (w : worker) =
 
 let worker_body st w ~initial () =
   let resume (cp, clause) =
-    continue st w (try_clause st w cp.o_goal clause) cp.o_cont
+    L.continue st w (try_clause st w cp.o_goal clause) ~barrier:0 cp.o_cont
   in
-  (match initial with
-   | Some cont -> run_worker st w cont
-   | None -> ());
   (* steal loop with distributed termination detection: a worker that finds
      nothing to steal while every other worker is idle declares global
      exhaustion *)
   let rec idle_loop () =
-    if st.finished then ()
+    if Agents.stopped st.ag then ()
     else begin
       w.w_idle <- true;
       st.idle_count <- st.idle_count + 1;
       record st Trace.Idle_begin 0;
       let rec poll () =
-        if st.finished then record st Trace.Idle_end 0
-        else if Cancel.poll st.cancel then begin
-          stop st;
+        if Agents.stopped st.ag then record st Trace.Idle_end 0
+        else if Cancel.poll st.ag.cancel then begin
+          Agents.stop st.ag;
           record st Trace.Idle_end 0
         end
         else
@@ -485,13 +348,12 @@ let worker_body st w ~initial () =
             idle_loop ()
           | None ->
             if st.idle_count = Array.length st.workers then begin
-              st.finished <- true;
-              Sim.stop st.sim;
+              Agents.stop st.ag;
               record st Trace.Idle_end 0
             end
             else begin
-              charge st st.cost.Cost.steal_poll;
-              (shard st).Stats.polls <- (shard st).Stats.polls + 1;
+              charge st st.ag.cost.Cost.steal_poll;
+              (stats st).Stats.polls <- (stats st).Stats.polls + 1;
               chaos_yield st;
               poll ()
             end
@@ -499,75 +361,38 @@ let worker_body st w ~initial () =
       poll ()
     end
   in
-  idle_loop ()
+  (* an abort inside the tabling mini-solver unwinds to here: the entry
+     stays incomplete but consistent (Kernel.table_call's contract) *)
+  try
+    (match initial with Some cont -> L.run st w cont | None -> ());
+    idle_loop ()
+  with Cancel.Cancelled -> Agents.stop st.ag
 
 (* ------------------------------------------------------------------ *)
 (* Public interface                                                    *)
 (* ------------------------------------------------------------------ *)
 
-type result = {
-  solutions : Term.t list; (* in discovery order (nondeterministic for P>1) *)
-  stats : Stats.t; (* merged over all simulated workers *)
-  per_agent : Stats.t array; (* the per-worker shards behind [stats] *)
-  time : int;
-}
-
-let create ?output ?(trace = Trace.disabled) ?(chaos = Chaos.disabled)
-    ?(prof = Prof.disabled) ?table ?(cancel = Cancel.none) (config : Config.t)
-    db goal =
+let solve ?output ?(trace = Trace.disabled) ?(chaos = Chaos.disabled)
+    ?(prof = Prof.disabled) ~table ~cancel (config : Config.t) db goal =
   let config = Config.validate config in
-  let sim = Sim.create ~max_steps:3_000_000 () in
-  let workers =
-    Array.init config.Config.agents (fun i ->
-        { w_id = i; w_cps = []; w_trail = Trail.create (); w_idle = false })
+  let st =
+    {
+      db;
+      table;
+      config;
+      ag = Agents.create ~trace ~chaos ~prof ~cancel config;
+      workers =
+        Array.init config.Config.agents (fun i ->
+            { w_id = i; w_cps = []; w_trail = Trail.create (); w_idle = false });
+      output;
+      idle_count = 0;
+    }
   in
-  let shards = Array.init config.Config.agents (fun _ -> Stats.create ()) in
-  let pshards =
-    Array.init config.Config.agents (fun i ->
-        if Prof.enabled prof then
-          Prof.shard prof ~dom:i ~stats:shards.(i)
-            ~clock:(fun () -> Sim.now sim)
-            ()
-        else Prof.null)
-  in
-  {
-    db;
-    table =
-      (match table with
-      | Some t -> t
-      | None -> Table.create ~max_answers:config.Config.table_max_answers ());
-    config;
-    cost = config.Config.cost;
-    shards;
-    tbufs = Array.init config.Config.agents (fun i -> Trace.buffer trace ~dom:i);
-    chaos = Array.init config.Config.agents (fun i -> Chaos.agent chaos i);
-    sim;
-    workers;
-    scratches = Array.init config.Config.agents (fun _ -> Code.create_scratch ());
-    pshards;
-    goal;
-    output;
-    cancel;
-    finished = false;
-    idle_count = 0;
-    sol_count = 0;
-    solutions = [];
-  }
-
-let run st =
-  let init = Kernel.sentinel_body st.goal in
+  let init = Machine.push (Kernel.sentinel_body goal) 0 [] in
   Array.iter
     (fun w ->
       let initial = if w.w_id = 0 then Some init else None in
-      Sim.spawn st.sim ~agent:w.w_id (worker_body st w ~initial))
+      Sim.spawn st.ag.sim ~agent:w.w_id (worker_body st w ~initial))
     st.workers;
-  Sim.run st.sim;
-  {
-    solutions = List.rev st.solutions;
-    stats = Kernel.merge_shards st.shards;
-    per_agent = st.shards;
-    time = Sim.stop_time st.sim;
-  }
-
-let solve ?output ?trace ?chaos ?prof ?table ?cancel config db goal =
-  run (create ?output ?trace ?chaos ?prof ?table ?cancel config db goal)
+  Sim.run st.ag.sim;
+  Agents.result st.ag

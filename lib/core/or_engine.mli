@@ -3,20 +3,11 @@
 
     Finds all solutions (or [config.max_solutions]) by exploring the or-tree
     with [config.agents] simulated workers.  Parallel conjunctions run
-    sequentially; cut and other control constructs are rejected. *)
-
-type t
-
-type result = {
-  solutions : Ace_term.Term.t list;
-      (** discovery order; deterministic but interleaved for P > 1 —
-          compare as multisets against the sequential engine *)
-  stats : Ace_machine.Stats.t;  (** merged over all simulated workers *)
-  per_agent : Ace_machine.Stats.t array;
-      (** one single-writer shard per simulated worker; [stats] is their
-          merge *)
-  time : int;
-}
+    sequentially; cut and other control constructs are rejected.
+    Solutions arrive in discovery order — deterministic, but interleaved
+    for P > 1: compare them as multisets against the sequential engine.
+    The result's [time] is the simulated completion time and its
+    [metrics] hold one stat shard per simulated worker. *)
 
 (** [trace] (default {!Ace_obs.Trace.disabled}) collects per-agent event
     rings (steal, copy, LAO hit, solution, idle spans) stamped with the
@@ -28,36 +19,18 @@ type result = {
     alternative interleaving — deterministic schedule exploration.  The
     solution multiset must be invariant across seeds.
 
-    [cancel] (default {!Cancel.none}) is polled at every worker's call
-    and backtrack chokepoints; once fired the run stops through the same
-    path as a solution limit, returning the solutions recorded so far. *)
-val create :
-  ?output:Buffer.t ->
-  ?trace:Ace_obs.Trace.t ->
-  ?chaos:Ace_sched.Chaos.t ->
-  ?prof:Ace_obs.Prof.t ->
-  ?table:Ace_lang.Table.t ->
-  ?cancel:Cancel.t ->
-  Ace_machine.Config.t ->
-  Ace_lang.Database.t ->
-  Ace_term.Term.t ->
-  t
-
-val run : t -> result
-
+    [table] is the run's SLG answer table.  [cancel] is polled at every
+    worker's call and backtrack chokepoints; once fired the run stops
+    through the same path as a solution limit, returning the solutions
+    recorded so far. *)
 val solve :
   ?output:Buffer.t ->
   ?trace:Ace_obs.Trace.t ->
   ?chaos:Ace_sched.Chaos.t ->
   ?prof:Ace_obs.Prof.t ->
-  ?table:Ace_lang.Table.t ->
-  ?cancel:Cancel.t ->
+  table:Ace_lang.Table.t ->
+  cancel:Cancel.t ->
   Ace_machine.Config.t ->
   Ace_lang.Database.t ->
   Ace_term.Term.t ->
-  result
-
-(**/**)
-
-(** Temporary debug tracing. *)
-val debug : bool ref
+  Machine.result

@@ -69,9 +69,9 @@ type alt =
 type task =
   | Root of Clause.body
   | Node of {
-      n_goal : Term.t;       (* snapshot of the choice point's goal *)
-      n_alts : alt list;     (* the untried alternatives, >= 1 *)
-      n_cont : Clause.body;  (* snapshot of its continuation *)
+      n_goal : Term.t;        (* snapshot of the choice point's goal *)
+      n_alts : alt list;      (* the untried alternatives, >= 1 *)
+      n_cont : Machine.cont;  (* snapshot of its continuation *)
     }
   | Slot of pslot
 
@@ -93,7 +93,7 @@ and pframe = {
 type cp = {
   cp_goal : Term.t;
   mutable cp_alts : alt list;
-  cp_cont : Clause.body;
+  cp_cont : Machine.cont;
   cp_trail : int;
 }
 
@@ -173,9 +173,9 @@ let make_mach ?slot ?output () =
     m_slot = slot;
   }
 
-(* The kernel resolver instantiated for this engine: real time instead of
-   abstract cycles, so charging is a no-op and only stats remain. *)
-module K = Kernel.Resolver (struct
+(* The machine over this engine: real time instead of abstract cycles,
+   so charging is a no-op and only stats remain. *)
+module M = Machine.Make (struct
   type t = worker
 
   let name = "the or-parallel engine"
@@ -192,12 +192,9 @@ end)
 (* Publishing (the MUSE environment copy)                              *)
 (* ------------------------------------------------------------------ *)
 
-let snapshot_term = Kernel.Copy.snapshot_term
-let snapshot_body = Kernel.Copy.snapshot_body
-
-let snapshot_alt table cells = function
+let snapshot_alt snap = function
   | Aclause c -> Aclause c (* clause templates are immutable and shared *)
-  | Acombo row -> Acombo (snapshot_term table cells row)
+  | Acombo row -> Acombo (snap row)
 
 (* A worker publishes only from its root machine (slot solutions are
    joined locally), and only while someone is hungry and its deque is not
@@ -245,9 +242,10 @@ let publish w m =
         (fun alts ->
           let table = Hashtbl.create 64 in
           let cells = ref 0 in
-          let goal = snapshot_term table cells cp.cp_goal in
-          let n_alts = List.map (snapshot_alt table cells) alts in
-          let cont = snapshot_body table cells cp.cp_cont in
+          let snap = Kernel.Copy.snapshot_term table cells in
+          let goal = snap cp.cp_goal in
+          let n_alts = List.map (snapshot_alt snap) alts in
+          let cont = Machine.map_cont snap cp.cp_cont in
           w.stats.Stats.copies <- w.stats.Stats.copies + 1;
           w.stats.Stats.copied_cells <- w.stats.Stats.copied_cells + !cells;
           if Prof.live w.w_prof then Prof.copied w.w_prof !cells;
@@ -281,11 +279,11 @@ let publish w m =
 
 let try_alt w m goal = function
   | Aclause clause ->
-    K.resolve w ~ctx:m.m_ctx ~compiled:w.sh.config.Config.compile
+    M.resolve w ~ctx:m.m_ctx ~compiled:w.sh.config.Config.compile
       ~trail:m.m_trail goal clause
   | Acombo row ->
     (* join replay: bind the tuple template to one cross-product row *)
-    if K.unify_goal w ~trail:m.m_trail goal row then Kernel.R_body []
+    if M.unify_goal w ~trail:m.m_trail goal row then Kernel.R_body []
     else Kernel.R_fail
 
 let push_cp w m ~goal ~alts ~cont =
@@ -323,121 +321,13 @@ let record_solution w goal =
     Trace.record w.tbuf Trace.Solution 0
   end
 
-let rec run_mach w m (cont : Clause.body) : unit =
-  if aborted w m then ()
-  else
-    match cont with
-    | [] ->
-      (* root: only reachable without the sentinel — treat as done.
-         Slot: one complete solution of the branch — record its tuple. *)
-      (match m.m_slot with
-       | Some s -> s.ps_sols <- Term.copy_resolved s.ps_tuple :: s.ps_sols
-       | None -> ());
-      backtrack w m
-    | Clause.Par bodies :: rest -> exec_parcall w m bodies rest
-    | Clause.Call g :: rest -> dispatch w m g rest
-    | Clause.Exec xf :: rest -> exec_frame w m xf rest
-
-(* Resumes a compiled clause body from its saved pc.  No environment
-   trimming here: choice points of this machine may resume the frame at
-   an earlier pc, and published snapshots may replay it. *)
-and exec_frame w m xf cont =
-  match K.exec_body w ~ctx:m.m_ctx xf with
-  | Kernel.Ex_fail -> backtrack w m
-  | Kernel.Ex_done -> run_mach w m cont
-  | Kernel.Ex_goal (g, pc) -> dispatch w m g (Kernel.exec_cont xf pc cont)
-  | Kernel.Ex_par (bodies, pc) ->
-    exec_parcall w m bodies (Kernel.exec_cont xf pc cont)
-  | Kernel.Ex_call (sym, arity, pc, _live) ->
-    user_call_regs w m sym arity (Kernel.exec_cont xf pc cont)
-  | Kernel.Ex_exec (sym, arity) -> user_call_regs w m sym arity cont
-
-(* Schedules what one clause try resolved to; [R_exec] re-enters clause
-   selection straight from the registers (last-call optimization). *)
-and continue w m resolved cont =
-  match resolved with
-  | Kernel.R_fail -> backtrack w m
-  | Kernel.R_body body -> run_mach w m (body @ cont)
-  | Kernel.R_exec (sym, arity) -> user_call_regs w m sym arity cont
-
-and user_call_regs w m sym arity cont =
-  if aborted w m then ()
-  else
-    let regs = w.w_scratch.Code.s_regs in
-    if Database.is_tabled w.sh.db sym arity then
-      (* materialize the register call: tabled answers must outlive the
-         registers, and the table keys on the goal term *)
-      user_call w m (Kernel.goal_of_regs sym arity regs) cont
-    else
-    match K.select_args w w.sh.db sym arity regs with
-    | [] -> backtrack w m
-    | [ clause ] ->
-      continue w m
-        (K.try_code_args w ~ctx:m.m_ctx ~trail:m.m_trail regs clause)
-        cont
-    | clause :: rest ->
-      (* nondeterminate: materialize the goal once — the alternatives in
-         the (publishable) choice point must outlive the registers *)
-      let g = Kernel.goal_of_regs sym arity regs in
-      push_cp w m ~goal:g ~alts:(List.map (fun c -> Aclause c) rest) ~cont;
-      if should_publish w m then publish w m;
-      continue w m
-        (K.resolve w ~ctx:m.m_ctx ~compiled:w.sh.config.Config.compile
-           ~trail:m.m_trail g clause)
-        cont
-
-and dispatch w m g cont =
-  let g = Term.deref g in
-  if Kernel.is_plain g then
-    (* the hot case, allocation-free: a plain user or builtin call *)
-    match K.call_builtin w m.m_ctx g with
-    | Builtins.Ok -> run_mach w m cont
-    | Builtins.Fail -> backtrack w m
-    | Builtins.Not_builtin -> user_call w m g cont
-  else
-    dispatch_control w m g cont
-
-and dispatch_control w m g cont =
-  match Kernel.classify g with
-  | Kernel.Sentinel goal ->
-    record_solution w goal;
-    backtrack w m (* report-and-fail drives the full search *)
-  | Kernel.Cut | Kernel.Disj _ | Kernel.Ite _ | Kernel.Naf _ ->
-    K.unsupported w (Term.deref g)
-  | Kernel.Conj g | Kernel.Amp g -> run_mach w m (Clause.compile_body g @ cont)
-  | Kernel.Meta g -> dispatch w m g cont
-  | Kernel.Goal g -> (
-    match K.call_builtin w m.m_ctx g with
-    | Builtins.Ok -> run_mach w m cont
-    | Builtins.Fail -> backtrack w m
-    | Builtins.Not_builtin -> user_call w m g cont)
-
-and user_call w m g cont =
-  let compiled = w.sh.config.Config.compile in
-  let clauses =
-    (* tabled predicates answer from the shared (locked) table; the
-       kernel completes the subgoal first when needed.  Workers never
-       block on each other: concurrent callers evaluate redundantly and
-       deduplicate through the shared answer trie. *)
-    if Database.is_tabled_goal w.sh.db g then
-      K.table_call w ~table:w.sh.table ~ctx:m.m_ctx ~compiled ~db:w.sh.db g
-    else K.select w ~compiled w.sh.db g
-  in
-  match clauses with
-  | [] -> backtrack w m
-  | [ clause ] ->
-    (* determinate after indexing: no choice point *)
-    continue w m (K.resolve w ~ctx:m.m_ctx ~compiled ~trail:m.m_trail g clause)
-      cont
-  | clause :: rest ->
-    push_cp w m ~goal:g ~alts:(List.map (fun c -> Aclause c) rest) ~cont;
-    if should_publish w m then publish w m;
-    continue w m (K.resolve w ~ctx:m.m_ctx ~compiled ~trail:m.m_trail g clause)
-      cont
+(* ------------------------------------------------------------------ *)
+(* The machine hooks                                                   *)
+(* ------------------------------------------------------------------ *)
 
 (* Private backtracking.  Taking the last alternative of an owned node
    trust-pops it and continues in place — the engine's structural LAO. *)
-and backtrack w m =
+let rec backtrack (loop : (worker, mach, unit) Machine.loop) w m =
   w.stats.Stats.backtracks <- w.stats.Stats.backtracks + 1;
   if aborted w m then ()
   else begin
@@ -453,7 +343,7 @@ and backtrack w m =
         if Prof.live w.w_prof then
           Prof.fail w.w_prof (Prof.key_of_term cp.cp_goal);
         m.m_cps <- below;
-        backtrack w m
+        backtrack loop w m
       | alt :: rest ->
         if Prof.live w.w_prof then
           Prof.redo w.w_prof (Prof.key_of_term cp.cp_goal);
@@ -469,7 +359,7 @@ and backtrack w m =
           cp.cp_alts <- rest;
           w.stats.Stats.cp_updates <- w.stats.Stats.cp_updates + 1
         end;
-        continue w m (try_alt w m cp.cp_goal alt) cp.cp_cont)
+        loop.continue w m (try_alt w m cp.cp_goal alt) ~barrier:0 cp.cp_cont)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -479,11 +369,11 @@ and backtrack w m =
 (* Enumerates one slot to exhaustion on a private sub-machine.  Runs on
    whichever worker claimed the slot (owner in place, or a thief through
    a [Slot] task). *)
-and run_pslot w s =
+and run_pslot loop w s =
   Trace.record w.tbuf Trace.Task_start s.ps_frame.pf_id;
   w.stats.Stats.task_switches <- w.stats.Stats.task_switches + 1;
   let m = make_mach ~slot:s ?output:w.out () in
-  run_mach w m s.ps_body;
+  loop.Machine.run w m (Machine.push s.ps_body 0 []);
   ignore (Trail.undo_to m.m_trail 0);
   if s.ps_sols = [] && not (stopped w) then begin
     (* inside failure (or a sibling already failed): kill the frame *)
@@ -496,9 +386,9 @@ and run_pslot w s =
 (* A parallel conjunction.  Without [par_and] (or when a schema decision
    says so) it runs as a plain sequential conjunction on the current
    machine. *)
-and exec_parcall w m bodies cont =
+and exec_parcall loop w m bodies ~barrier cont =
   let config = w.sh.config in
-  let sequential () = run_mach w m (List.concat bodies @ cont) in
+  let sequential () = loop.Machine.run w m (Machine.conj bodies barrier cont) in
   if not config.Config.par_and then sequential ()
   else if
     config.Config.seq_threshold > 0 && Schema.sequentialize config bodies
@@ -513,7 +403,7 @@ and exec_parcall w m bodies cont =
       w.stats.Stats.frames_avoided <- w.stats.Stats.frames_avoided + splices;
       Trace.record w.tbuf Trace.Lpco_hit splices
     end;
-    let sequential () = run_mach w m (List.concat bodies @ cont) in
+    let sequential () = loop.run w m (Machine.conj bodies barrier cont) in
     if Schema.spo_inline config ~hungry:(Atomic.get w.sh.hungry) then begin
       (* SPO, procrastinated to frame granularity: nobody to share with,
          so skip the parcall-frame setup entirely *)
@@ -526,10 +416,10 @@ and exec_parcall w m bodies cont =
       match Kernel.Parcall.slot_tuples bodies with
       | None -> sequential () (* shared variable: not strictly independent *)
       | Some tuples when Array.length tuples < 2 -> sequential ()
-      | Some tuples -> run_parcall w m bodies tuples cont
+      | Some tuples -> run_parcall loop w m bodies tuples cont
   end
 
-and run_parcall w m bodies tuples cont =
+and run_parcall loop w m bodies tuples cont =
   let n = Array.length tuples in
   let fr =
     { pf_id = Atomic.fetch_and_add w.sh.frame_ids 1;
@@ -563,7 +453,7 @@ and run_parcall w m bodies tuples cont =
   done;
   (* The owner runs slot 0 in place (no markers, as in the paper), then
      claims whatever is still free, sequentially-next slot first. *)
-  run_pslot w slots.(0);
+  run_pslot loop w slots.(0);
   let config = w.sh.config in
   let last = ref (Some (fr.pf_id, 0)) in
   let claim i = Atomic.compare_and_set slots.(i).ps_state 0 1 in
@@ -590,7 +480,7 @@ and run_parcall w m bodies tuples cont =
       in
       match pick with
       | Some i ->
-        run_pslot w slots.(i);
+        run_pslot loop w slots.(i);
         last := Some (fr.pf_id, i);
         help ()
       | None ->
@@ -609,7 +499,7 @@ and run_parcall w m bodies tuples cont =
   in
   help ();
   if stopped w then ()
-  else if Atomic.get fr.pf_failed then backtrack w m
+  else if Atomic.get fr.pf_failed then backtrack loop w m
   else begin
     (* Join: replay the cross product of the recorded tuples, rightmost
        slot fastest (the sequential enumeration order).  The rows become
@@ -617,16 +507,65 @@ and run_parcall w m bodies tuples cont =
        or-publishable like any other node. *)
     let rows = Kernel.Parcall.cross (Array.map (fun s -> List.rev s.ps_sols) slots) in
     match rows with
-    | [] -> backtrack w m
+    | [] -> backtrack loop w m
     | first :: rest ->
       let template = Kernel.Parcall.template tuples in
       if rest <> [] then begin
         push_cp w m ~goal:template ~alts:(List.map (fun r -> Acombo r) rest) ~cont;
         if should_publish w m then publish w m
       end;
-      if K.unify_goal w ~trail:m.m_trail template first then run_mach w m cont
-      else backtrack w m
+      if M.unify_goal w ~trail:m.m_trail template first then loop.run w m cont
+      else backtrack loop w m
   end
+
+module L = M.Loop (struct
+  type t = worker
+  type m = mach
+  type r = unit
+
+  let halt = ()
+  let db w = w.sh.db
+  let table w = w.sh.table
+  let compiled w = w.sh.config.Config.compile
+  let ctx _ m = m.m_ctx
+  let height _ _ = 0
+
+  (* choice points of a machine may resume a frame at an earlier pc, and
+     published snapshots may replay it *)
+  let trims = false
+
+  let proceed w m = function
+    | Machine.Call -> true
+    | Machine.Step | Machine.Call_regs -> not (aborted w m)
+
+  (* root: only reachable without the sentinel — treat as done.  Slot:
+     one complete solution of the branch — record its tuple. *)
+  let empty loop w m =
+    (match m.m_slot with
+     | Some s -> s.ps_sols <- Term.copy_resolved s.ps_tuple :: s.ps_sols
+     | None -> ());
+    backtrack loop w m
+
+  (* nondeterminate: the alternatives in the (publishable) choice point
+     must outlive the registers *)
+  let nondet w m g clause rest cont =
+    push_cp w m ~goal:g ~alts:(List.map (fun c -> Aclause c) rest) ~cont;
+    if should_publish w m then publish w m;
+    M.resolve w ~ctx:m.m_ctx ~compiled:w.sh.config.Config.compile
+      ~trail:m.m_trail g clause
+
+  let backtrack = backtrack
+  let par = exec_parcall
+
+  let control loop w m cls g ~barrier cont =
+    match cls with
+    | Kernel.Sentinel goal ->
+      record_solution w goal;
+      backtrack loop w m (* report-and-fail drives the full search *)
+    | Kernel.Amp g ->
+      loop.Machine.run w m (Machine.push (Clause.compile_body g) barrier cont)
+    | _ -> M.unsupported w g
+end)
 
 (* ------------------------------------------------------------------ *)
 (* Worker loop: run, pop own deque, steal                              *)
@@ -638,7 +577,7 @@ let run_task w task =
     match task with
     | Root body ->
       Trace.record_at w.tbuf ~ts:t0 Trace.Task_start 0;
-      run_mach w w.root body;
+      L.run w w.root (Machine.push body 0 []);
       (* reset private state (relevant after an early stop) *)
       ignore (Trail.undo_to w.root.m_trail 0);
       w.root.m_cps <- [];
@@ -651,7 +590,7 @@ let run_task w task =
        | first :: rest ->
          if rest <> [] then
            push_cp w w.root ~goal:n_goal ~alts:rest ~cont:n_cont;
-         continue w w.root (try_alt w w.root n_goal first) n_cont);
+         L.continue w w.root (try_alt w w.root n_goal first) ~barrier:0 n_cont);
       ignore (Trail.undo_to w.root.m_trail 0);
       w.root.m_cps <- [];
       w.root.m_live <- 0;
@@ -660,7 +599,7 @@ let run_task w task =
       (* claim by CAS: the frame owner may have run it already, leaving a
          stale deque entry to discard *)
       if Atomic.compare_and_set s.ps_state 0 1 then begin
-        run_pslot w s;
+        run_pslot L.loop w s;
         true
       end
       else false
@@ -766,29 +705,15 @@ let worker_main w =
 (* Public interface                                                    *)
 (* ------------------------------------------------------------------ *)
 
-type result = {
-  solutions : Term.t list; (* discovery order; nondeterministic for P > 1 *)
-  stats : Stats.t; (* merged run total *)
-  metrics : Metrics.t; (* per-domain shards behind [stats] *)
-  wall_ns : int; (* wall-clock nanoseconds, whole run including the join *)
-  domains : int;
-}
-
 let solve ?output ?(trace = Trace.disabled) ?(chaos = Chaos.disabled)
-    ?(prof = Prof.disabled) ?table ?(cancel = Cancel.none) (config : Config.t)
-    db goal =
+    ?(prof = Prof.disabled) ~table ~cancel (config : Config.t) db goal =
   let config = Config.validate config in
   let p = config.Config.agents in
   let metrics = Metrics.create ~domains:p in
   let sh =
     {
       db;
-      table =
-        (match table with
-        | Some t -> t
-        | None ->
-          Table.create ~locked:true
-            ~max_answers:config.Config.table_max_answers ());
+      table;
       config;
       deques = Array.init p (fun _ -> Deque.create ());
       hungry = Atomic.make 0;
@@ -854,4 +779,10 @@ let solve ?output ?(trace = Trace.disabled) ?(chaos = Chaos.disabled)
          | Some b -> Buffer.add_buffer buf b
          | None -> ())
        workers);
-  { solutions = List.rev sh.sols_rev; stats; metrics; wall_ns; domains = p }
+  {
+    Machine.solutions = List.rev sh.sols_rev;
+    stats;
+    metrics;
+    time = wall_ns;
+    cancelled = Cancel.fired cancel;
+  }

@@ -27,20 +27,13 @@
     With one domain and [par_and] off the engine is a plain sequential
     backtracker and reproduces the sequential solution order; otherwise
     solutions arrive in nondeterministic discovery order — compare
-    solution {e multisets} against {!Seq_engine}. *)
+    solution {e multisets} against {!Seq_engine}.
 
-type result = {
-  solutions : Ace_term.Term.t list;
-      (** discovery order; nondeterministic for more than one domain *)
-  stats : Ace_machine.Stats.t;
-      (** merged over all workers; wall-clock runs have real (not
-          simulated) counter values *)
-  metrics : Ace_obs.Metrics.t;
-      (** the per-domain shards behind [stats]: copy-size / task-duration /
-          steal-retry histograms and busy/idle nanoseconds per domain *)
-  wall_ns : int;  (** wall-clock nanoseconds for the whole run *)
-  domains : int;  (** domains actually used ([config.agents]) *)
-}
+    The result's [time] is wall-clock nanoseconds for the whole run
+    (join included), its [stats] are real counter values merged over the
+    domains, and its [metrics] are the per-domain shards behind them:
+    copy-size / task-duration / steal-retry histograms and busy/idle
+    nanoseconds per domain. *)
 
 (** [trace] (default {!Ace_obs.Trace.disabled}) collects per-domain event
     rings: task spawn/start/finish, steal, publish/skip, copy, LAO hits,
@@ -53,18 +46,18 @@ type result = {
     it, so the solution multiset must not change — the invariant the
     differential checker ({!Ace_check}) exercises.
 
-    [cancel] (default {!Cancel.none}) is polled by every domain at its
-    stop-flag chokepoints; once fired it is folded into the shared stop
-    flag, all domains wind down and join, and the solutions recorded so
-    far are returned. *)
+    [table] is the run's SLG answer table (with per-shard locks).
+    [cancel] is polled by every domain at its stop-flag chokepoints; once
+    fired it is folded into the shared stop flag, all domains wind down
+    and join, and the solutions recorded so far are returned. *)
 val solve :
   ?output:Buffer.t ->
   ?trace:Ace_obs.Trace.t ->
   ?chaos:Ace_sched.Chaos.t ->
   ?prof:Ace_obs.Prof.t ->
-  ?table:Ace_lang.Table.t ->
-  ?cancel:Cancel.t ->
+  table:Ace_lang.Table.t ->
+  cancel:Cancel.t ->
   Ace_machine.Config.t ->
   Ace_lang.Database.t ->
   Ace_term.Term.t ->
-  result
+  Machine.result

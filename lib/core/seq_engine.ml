@@ -1,7 +1,10 @@
 (* Sequential Prolog engine: the "state-of-the-art sequential system"
    baseline of the paper (its SICStus stand-in).
 
-   An explicit machine with a continuation stack and a choice-point stack.
+   An explicit machine with a continuation stack and a choice-point stack,
+   driven by the shared {!Machine} loop; this file supplies the
+   sequential engine's hooks: shallow backtracking, trust/retry in place,
+   and cut, disjunction, if-then-else and negation.
    Parallel conjunctions ('&') are executed as ordinary sequential
    conjunctions, so annotated benchmark programs run unchanged and the
    parallel engines' 1-agent overhead can be measured against this engine
@@ -30,14 +33,10 @@ type alts =
          so a nondeterminate call allocates no per-clause wrapper *)
   | Agoal of Clause.body (* right branch of a disjunction *)
 
-type seg = { items : Clause.item list; barrier : int }
-(* [barrier] is the choice-point stack height a cut in these items
-   restores. *)
-
 type cp = {
   cp_goal : Term.t option; (* None for disjunction choice points *)
   mutable cp_alts : alts;
-  cp_cont : seg list;
+  cp_cont : Machine.cont;
   cp_trail : int;
   cp_height : int; (* stack height below this choice point *)
 }
@@ -103,10 +102,9 @@ let create ?(cost = Cost.default) ?(compile = false) ?output
 
 let spend m n = m.charge <- m.charge + n
 
-(* The kernel resolver instantiated for this engine: charges go to the
-   private abstract-cycle accumulator, stats to the single machine
-   shard. *)
-module K = Kernel.Resolver (struct
+(* The machine over this engine: charges go to the private
+   abstract-cycle accumulator, stats to the single machine shard. *)
+module M = Machine.Make (struct
   type nonrec t = t
 
   let name = "the sequential engine"
@@ -140,211 +138,41 @@ let push_cp m ~mark ~goal ~alts ~cont =
   m.cps <- cp :: m.cps;
   m.height <- m.height + 1
 
-let undo_to m mark = K.untrail m m.trail mark
+let undo_to m mark = M.untrail m m.trail mark
+
+let pop m below =
+  m.cps <- below;
+  m.height <- m.height - 1
 
 let cut m barrier =
   while m.height > barrier do
-    match m.cps with
-    | [] -> assert false
-    | _ :: below ->
-      m.cps <- below;
-      m.height <- m.height - 1
+    match m.cps with [] -> assert false | _ :: below -> pop m below
   done
 
-(* [run] drives forward execution; [backtrack] resumes at the newest choice
-   point.  Both return [true] when a solution is reached (the machine state
-   is then frozen until the caller asks for the next solution). *)
-let rec run m (cont : seg list) : bool =
-  match cont with
-  | [] -> true
-  | { items = []; _ } :: rest -> run m rest
-  | ({ items = item :: items; barrier } as seg) :: rest -> (
-    (* last item of the segment: drop the seg instead of keeping an
-       empty one around (saves an allocation per body executed) *)
-    let cont' =
-      match items with [] -> rest | _ -> { seg with items } :: rest
-    in
-    match item with
-    | Clause.Par bodies ->
-      (* Sequential semantics of '&': plain conjunction. *)
-      run m (List.map (fun body -> { items = body; barrier }) bodies @ cont')
-    | Clause.Call g -> dispatch m g ~barrier cont'
-    | Clause.Exec xf -> exec_frame m xf ~barrier cont')
-
-(* Resumes a compiled clause body from its saved pc.  The kernel runs
-   consecutive builtins inline and decodes the first step it cannot
-   finish; trimming and calling are scheduling policy, so they live
-   here. *)
-and exec_frame m xf ~barrier cont =
-  match K.exec_body m ~ctx:m.ctx xf with
-  | Kernel.Ex_fail -> backtrack m
-  | Kernel.Ex_done -> run m cont
-  | Kernel.Ex_goal (g, pc) -> dispatch m g ~barrier (resume xf pc ~barrier cont)
-  | Kernel.Ex_par (bodies, pc) ->
-    (* Sequential semantics of '&', as in [run]. *)
-    run m
-      (List.map (fun body -> { items = body; barrier }) bodies
-      @ resume xf pc ~barrier cont)
-  | Kernel.Ex_call (sym, arity, pc, live) ->
-    (* Environment trimming: untrailed clears, legal only while the
-       frame is provably private — no choice point pushed (and still
-       alive) since clause entry, so no earlier pc of this frame can
-       ever be resumed. *)
-    if m.height = barrier then Kernel.trim_env xf live;
-    user_call_regs m sym arity (resume xf pc ~barrier cont)
-  | Kernel.Ex_exec (sym, arity) ->
-    (* Last call: the frame is dropped before the callee runs. *)
-    user_call_regs m sym arity cont
-
-and resume xf pc ~barrier cont =
-  match Kernel.exec_cont xf pc [] with
-  | [] -> cont
-  | items -> { items; barrier } :: cont
-
-and dispatch m g ~barrier cont =
-  let g = Term.deref g in
-  if Kernel.is_plain g then
-    (* the hot case, allocation-free: a plain user or builtin call *)
-    match K.call_builtin m m.ctx g with
-    | Builtins.Ok -> run m cont
-    | Builtins.Fail -> backtrack m
-    | Builtins.Not_builtin -> user_call m g cont
-  else
-    match Kernel.classify g with
-    | Kernel.Cut ->
-      cut m barrier;
-      run m cont
-    | Kernel.Conj g ->
-      run m ({ items = Clause.compile_body g; barrier } :: cont)
-    | Kernel.Ite (cond, then_, else_) ->
-      if_then_else m cond then_ else_ ~barrier cont
-    | Kernel.Disj (left, else_) ->
-      push_cp m ~mark:(Trail.mark m.trail) ~goal:None
-        ~alts:(Agoal (Clause.compile_body else_)) ~cont;
-      run m ({ items = Clause.compile_body left; barrier } :: cont)
-    | Kernel.Naf g ->
-      let mark = Trail.mark m.trail in
-      let proved = solve_once m g in
+(* Shallow backtracking (WAM-style), the nondeterminate-call hook: scan
+   the candidates for the first one whose head matches before allocating
+   a choice point, so clauses rejected by head unification cost no
+   choice-point traffic.  The choice point — pushed only when a later
+   alternative remains — records the pre-scan trail mark, since those
+   alternatives must be retried from the caller's bindings. *)
+let shallow m () g clause rest cont =
+  let mark = Trail.mark m.trail in
+  let rec scan clause rest =
+    match M.resolve m ~ctx:m.ctx ~compiled:m.compile ~trail:m.trail g clause with
+    | Kernel.R_fail -> (
       undo_to m mark;
-      if proved then backtrack m else run m cont
-    | Kernel.Meta g ->
-      (* call/1 is transparent to everything but cut: the cut barrier becomes
-         the current height, making the inner cut local. *)
-      dispatch m g ~barrier:m.height cont
-    | Kernel.Amp _ | Kernel.Sentinel _ | Kernel.Goal _ -> (
-      (* dynamically built '&'/2 goals and the '$solution' sentinel are not
-         part of this engine's language: both fall through to the database
-         (and its existence error), as they always have *)
-      match K.call_builtin m m.ctx g with
-      | Builtins.Ok -> run m cont
-      | Builtins.Fail -> backtrack m
-      | Builtins.Not_builtin -> user_call m g cont)
-
-and if_then_else m cond then_ else_ ~barrier cont =
-  let mark = Trail.mark m.trail in
-  if solve_once m cond then
-    (* commit to the condition's first solution (bindings kept) *)
-    run m ({ items = Clause.compile_body then_; barrier } :: cont)
-  else begin
-    undo_to m mark;
-    run m ({ items = Clause.compile_body else_; barrier } :: cont)
-  end
-
-(* Proves [g] once on a private choice-point stack, keeping bindings.  Used
-   by negation and if-then-else. *)
-and solve_once m g =
-  let saved_cps = m.cps and saved_height = m.height in
-  m.cps <- [];
-  m.height <- 0;
-  let found = dispatch m g ~barrier:0 [] in
-  m.cps <- saved_cps;
-  m.height <- saved_height;
-  found
-
-and user_call m g cont =
-  (* call chokepoint: a fired token unwinds out of [next] through the
-     [Cancelled] handler, so no further (possibly wrong-under-
-     cancellation) solution can be reported *)
-  Cancel.check m.cancel;
-  let clauses =
-    (* tabled predicates are answered from the shared answer table; the
-       kernel completes the subgoal first if needed and the pseudo-fact
-       answers flow through the ordinary clause machinery below *)
-    if Database.is_tabled_goal m.db g then
-      K.table_call m ~table:m.table ~ctx:m.ctx ~compiled:m.compile ~db:m.db g
-    else K.select m ~compiled:m.compile m.db g
+      match rest with
+      | [] ->
+        if Prof.live m.prof then Prof.fail m.prof (Prof.key_of_term g);
+        Kernel.R_fail
+      | clause :: rest -> scan clause rest)
+    | resolved ->
+      if rest <> [] then push_cp m ~mark ~goal:(Some g) ~alts:(Aclauses rest) ~cont;
+      resolved
   in
-  match clauses with
-  | [] -> backtrack m
-  | [ clause ] ->
-    (* Determinate after indexing: no choice point (the property LPCO and
-       SPO key on in the parallel engines). *)
-    continue m (K.resolve m ~ctx:m.ctx ~compiled:m.compile ~trail:m.trail g clause)
-      cont
-  | clauses -> shallow m g clauses cont
+  scan clause rest
 
-(* Schedules what one clause try resolved to.  [R_exec] is the last-call
-   case: the callee's arguments sit in the registers and nothing was
-   stacked, so a determinate recursion bounces between [continue] and
-   [user_call_regs] in constant space (both calls are tail calls). *)
-and continue m resolved cont =
-  match resolved with
-  | Kernel.R_fail -> backtrack m
-  | Kernel.R_body [] -> run m cont
-  | Kernel.R_body items -> run m ({ items; barrier = m.height } :: cont)
-  | Kernel.R_exec (sym, arity) -> user_call_regs m sym arity cont
-
-(* A user call whose arguments live in the scratch registers: clause
-   selection walks the dispatch tree straight from the register file.
-   Only the nondeterminate case materializes a goal term — alternatives
-   stored in a choice point must outlive the registers. *)
-and user_call_regs m sym arity cont =
-  Cancel.check m.cancel;
-  if Database.is_tabled m.db sym arity then
-    (* materialize the register call: tabled answers must outlive the
-       registers, and the table keys on the goal term *)
-    user_call m (Kernel.goal_of_regs sym arity m.sc.Code.s_regs) cont
-  else
-  match K.select_args m m.db sym arity m.sc.Code.s_regs with
-  | [] -> backtrack m
-  | [ clause ] ->
-    continue m (K.try_code_args m ~ctx:m.ctx ~trail:m.trail m.sc.Code.s_regs clause)
-      cont
-  | clauses ->
-    let g = Kernel.goal_of_regs sym arity m.sc.Code.s_regs in
-    shallow m g clauses cont
-
-(* Shallow backtracking (WAM-style): scan the candidates for the first
-   one whose head matches before allocating a choice point, so clauses
-   rejected by head unification cost no choice-point traffic.  The
-   choice point — pushed only when a later alternative remains — records
-   the pre-scan trail mark, since those alternatives must be retried
-   from the caller's bindings. *)
-and shallow m g clauses cont =
-  let mark = Trail.mark m.trail in
-  let rec scan = function
-    | [] ->
-      if Prof.live m.prof then Prof.fail m.prof (Prof.key_of_term g);
-      backtrack m
-    | clause :: rest -> (
-      match K.resolve m ~ctx:m.ctx ~compiled:m.compile ~trail:m.trail g clause with
-      | Kernel.R_fail ->
-        undo_to m mark;
-        scan rest
-      | resolved ->
-        (* The choice point is pushed before [continue] consumes the
-           resolution, so an [R_exec] callee's segments sit above it —
-           its barrier (the pre-push height) is captured first. *)
-        let barrier = m.height in
-        if rest <> [] then
-          push_cp m ~mark ~goal:(Some g) ~alts:(Aclauses rest) ~cont;
-        (match resolved with
-        | Kernel.R_body items -> run m ({ items; barrier } :: cont)
-        | resolved -> continue m resolved cont))
-  in
-  scan clauses
-
-and backtrack m =
+let rec backtrack (loop : (t, unit, bool) Machine.loop) m () =
   Cancel.check m.cancel;
   m.stats.Stats.backtracks <- m.stats.Stats.backtracks + 1;
   spend m (Chaos.jitter m.chaos);
@@ -353,10 +181,10 @@ and backtrack m =
   | cp :: below -> (
     spend m m.cost.Cost.backtrack_node;
     m.stats.Stats.bt_nodes_visited <- m.stats.Stats.bt_nodes_visited + 1;
+    undo_to m cp.cp_trail;
+    spend m m.cost.Cost.cp_restore;
     match cp.cp_alts with
     | Aclauses clauses ->
-      undo_to m cp.cp_trail;
-      spend m m.cost.Cost.cp_restore;
       let goal = match cp.cp_goal with Some g -> g | None -> assert false in
       if Prof.live m.prof then Prof.redo m.prof (Prof.key_of_term goal);
       (* Shallow scan, as in [shallow]: head-rejected alternatives are
@@ -365,40 +193,105 @@ and backtrack m =
       let rec rescan = function
         | [] ->
           if Prof.live m.prof then Prof.fail m.prof (Prof.key_of_term goal);
-          m.cps <- below;
-          m.height <- m.height - 1;
-          backtrack m
+          pop m below;
+          backtrack loop m ()
         | clause :: alts -> (
           match
-            K.resolve m ~ctx:m.ctx ~compiled:m.compile ~trail:m.trail goal clause
+            M.resolve m ~ctx:m.ctx ~compiled:m.compile ~trail:m.trail goal clause
           with
           | Kernel.R_fail ->
             undo_to m cp.cp_trail;
             rescan alts
           | resolved ->
-            if alts = [] then begin
-              m.cps <- below;
-              m.height <- m.height - 1
-            end
+            if alts = [] then pop m below
             else begin
               (* the retained choice point is updated in place with the
                  shrunken alternative list *)
               cp.cp_alts <- Aclauses alts;
               m.stats.Stats.cp_updates <- m.stats.Stats.cp_updates + 1
             end;
-            (match resolved with
-            | Kernel.R_body items ->
-              run m ({ items; barrier = cp.cp_height } :: cp.cp_cont)
-            | resolved -> continue m resolved cp.cp_cont))
+            loop.continue m () resolved ~barrier:cp.cp_height cp.cp_cont)
       in
       rescan clauses
     | Agoal body ->
-      undo_to m cp.cp_trail;
-      spend m m.cost.Cost.cp_restore;
       (* a disjunction's right branch is its only alternative: trust *)
-      m.cps <- below;
-      m.height <- m.height - 1;
-      run m ({ items = body; barrier = m.height } :: cp.cp_cont))
+      pop m below;
+      loop.run m () (Machine.push body m.height cp.cp_cont))
+
+(* Cut, if-then-else, disjunction and negation; a dynamically built
+   '&'/2 goal and the '$solution' sentinel are not part of this engine's
+   language and fall through to the database (and its existence error),
+   as they always have. *)
+let branch (loop : (t, unit, bool) Machine.loop) m goal barrier cont =
+  loop.run m () (Machine.push (Clause.compile_body goal) barrier cont)
+
+let rec control loop m () cls g ~barrier cont =
+  match cls with
+  | Kernel.Cut ->
+    cut m barrier;
+    loop.Machine.run m () cont
+  | Kernel.Ite (cond, then_, else_) ->
+    let mark = Trail.mark m.trail in
+    (* commit to the condition's first solution (bindings kept) *)
+    if solve_once loop m cond then branch loop m then_ barrier cont
+    else begin
+      undo_to m mark;
+      branch loop m else_ barrier cont
+    end
+  | Kernel.Disj (left, else_) ->
+    push_cp m ~mark:(Trail.mark m.trail) ~goal:None
+      ~alts:(Agoal (Clause.compile_body else_)) ~cont;
+    branch loop m left barrier cont
+  | Kernel.Naf g ->
+    let mark = Trail.mark m.trail in
+    let proved = solve_once loop m g in
+    undo_to m mark;
+    if proved then backtrack loop m () else loop.run m () cont
+  | _ -> loop.call m () g cont
+
+(* Proves [g] once on a private choice-point stack, keeping bindings.  Used
+   by negation and if-then-else. *)
+and solve_once loop m g =
+  let saved_cps = m.cps and saved_height = m.height in
+  m.cps <- [];
+  m.height <- 0;
+  let found = loop.Machine.dispatch m () g ~barrier:0 [] in
+  m.cps <- saved_cps;
+  m.height <- saved_height;
+  found
+
+module L = M.Loop (struct
+  type nonrec t = t
+  type m = unit
+  type r = bool
+
+  let halt = false
+  let db m = m.db
+  let table m = m.table
+  let compiled m = m.compile
+  let ctx m () = m.ctx
+  let height m () = m.height
+  let trims = true
+
+  (* the call chokepoints: a fired token unwinds out of [next] through
+     the [Cancelled] handler, so no further (possibly wrong-under-
+     cancellation) solution can be reported *)
+  let proceed m () = function
+    | Machine.Step -> true
+    | Machine.Call | Machine.Call_regs ->
+      Cancel.check m.cancel;
+      true
+
+  let empty _ _ () = true
+  let nondet = shallow
+  let backtrack = backtrack
+
+  (* '&' runs as a plain conjunction *)
+  let par (loop : (t, unit, bool) Machine.loop) m () bodies ~barrier cont =
+    loop.run m () (Machine.conj bodies barrier cont)
+
+  let control = control
+end)
 
 (* ------------------------------------------------------------------ *)
 (* Public interface                                                    *)
@@ -414,9 +307,9 @@ let next m =
       match
         if not m.started then begin
           m.started <- true;
-          run m [ { items = Clause.compile_body m.goal; barrier = 0 } ]
+          L.run m () (Machine.push (Clause.compile_body m.goal) 0 [])
         end
-        else backtrack m
+        else L.backtrack m ()
       with
       | found -> found
       | exception Cancel.Cancelled -> false
@@ -442,10 +335,6 @@ let all_solutions ?limit m =
       | None -> List.rev acc)
   in
   go [] 0
-
-(* Named query-variable bindings, snapshotted against backtracking. *)
-let bindings _m vars =
-  List.map (fun (name, v) -> (name, Term.copy_resolved (Term.Var v))) vars
 
 let stats m = m.stats
 

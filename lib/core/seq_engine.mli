@@ -46,11 +46,6 @@ val next : t -> Ace_term.Term.t option
 
 val all_solutions : ?limit:int -> t -> Ace_term.Term.t list
 
-(** Snapshot of named query variables (take before asking for the next
-    solution). *)
-val bindings :
-  t -> (string * Ace_term.Term.var) list -> (string * Ace_term.Term.t) list
-
 val stats : t -> Ace_machine.Stats.t
 
 (** Abstract cycles consumed so far (the sequential execution time). *)

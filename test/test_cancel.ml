@@ -240,33 +240,39 @@ let tabled_chain =
 let test_cancelled_table_consistent () =
   (* a budget abort mid-evaluation leaves the shared table reusable: a
      second run over the same table completes and the answer set is the
-     full one (publication is monotone; incomplete entries re-evaluate) *)
+     full one (publication is monotone; incomplete entries re-evaluate).
+     On one agent the abort fires inside the tabling mini-solver, which
+     every engine must turn into its ordinary stop. *)
   let program = tabled_chain and query = "path(n0, X)" in
   let full =
     Ace_check.Canon.multiset
       (Engine.solve_program Engine.Sequential Config.default ~program ~query)
         .Engine.solutions
   in
-  let table = Table.create () in
-  let r1 =
-    Engine.solve_program ~table ~cancel:(Cancel.at_polls 40) Engine.Sequential
-      Config.default ~program ~query
-  in
-  Alcotest.check reason "tabled run aborted" (Some Cancel.Budget)
-    r1.Engine.cancelled;
   List.iter
-    (fun e ->
-      if Table.is_complete e then
-        Alcotest.(check bool) "complete entries keep their answers" true
-          (Table.answer_count e > 0))
-    (Table.entries table);
-  let r2 =
-    Engine.solve_program ~table Engine.Sequential Config.default ~program
-      ~query
-  in
-  Alcotest.check reason "second run completes" None r2.Engine.cancelled;
-  Alcotest.(check (list string)) "full answers from the reused table" full
-    (Ace_check.Canon.multiset r2.Engine.solutions)
+    (fun (kind, _) ->
+      let name = Engine.kind_to_string kind in
+      let config = Config.default in
+      let table = Table.create ~locked:(kind = Engine.Par_or) () in
+      let r1 =
+        Engine.solve_program ~table ~cancel:(Cancel.at_polls 40) kind config
+          ~program ~query
+      in
+      Alcotest.check reason (name ^ " tabled run aborted") (Some Cancel.Budget)
+        r1.Engine.cancelled;
+      List.iter
+        (fun e ->
+          if Table.is_complete e then
+            Alcotest.(check bool) "complete entries keep their answers" true
+              (Table.answer_count e > 0))
+        (Table.entries table);
+      let r2 = Engine.solve_program ~table kind config ~program ~query in
+      Alcotest.check reason (name ^ " second run completes") None
+        r2.Engine.cancelled;
+      Alcotest.(check (list string)) (name ^ " full answers from the reused table")
+        full
+        (Ace_check.Canon.multiset r2.Engine.solutions))
+    engines
 
 let test_par_cancel_no_leak () =
   (* a cancelled par run must join all its domains: three back-to-back
@@ -300,6 +306,53 @@ let test_requested_cancel_from_thread () =
   Thread.join th;
   Alcotest.check reason "requested" (Some Cancel.Requested) r.Engine.cancelled
 
+(* ------------------------------------------------------------------ *)
+(* Reruns of one parsed goal                                           *)
+(* ------------------------------------------------------------------ *)
+
+let rerun_program =
+  "color(r). color(g). color(b). pair(X, Y) :- color(X), color(Y).\n\
+   ppair(X, Y) :- color(X) & color(Y).\n\
+   app([], L, L). app([H|T], L, [H|R]) :- app(T, L, R)."
+
+(* regression: a run must leave the query's variables unbound however it
+   ends (exhaustion, solution limit, cancel), so the same parsed goal can
+   be run again and gives the same answers *)
+let test_rerun_same_goal () =
+  let p = Engine.prepare_string rerun_program in
+  List.iter
+    (fun ((kind, agents), compile) ->
+      let config = { Config.default with Config.agents; compile } in
+      let name =
+        Engine.kind_to_string kind ^ if compile then "/c" else ""
+      in
+      List.iter
+        (fun (query, expected) ->
+          let goal = (Program.parse_query query).Program.goal in
+          let free = List.length (Ace_term.Term.variables goal) in
+          let count ?cancel config =
+            let r = Engine.run ?cancel kind config p goal in
+            Alcotest.(check int)
+              (Printf.sprintf "%s %s: variables unbound" name query)
+              free
+              (List.length (Ace_term.Term.variables goal));
+            List.length r.Engine.solutions
+          in
+          let full msg =
+            Alcotest.(check int)
+              (Printf.sprintf "%s %s: %s" name query msg)
+              expected (count config)
+          in
+          full "first run";
+          full "rerun after exhaustion";
+          Alcotest.(check int) (name ^ " limited") 2
+            (count { config with Config.max_solutions = Some 2 });
+          full "rerun after a solution limit";
+          ignore (count ~cancel:(Cancel.at_polls 3) config : int);
+          full "rerun after a cancel")
+        [ ("pair(X, Y)", 9); ("ppair(X, Y)", 9); ("app(X, Y, [1,2,3])", 4) ])
+    (List.concat_map (fun e -> [ (e, false); (e, true) ]) engines)
+
 let suite =
   [
     Alcotest.test_case "token: none" `Quick test_token_none;
@@ -326,4 +379,6 @@ let suite =
       test_par_cancel_no_leak;
     Alcotest.test_case "cancel: requested from another thread" `Quick
       test_requested_cancel_from_thread;
+    Alcotest.test_case "rerun: one goal, run to any end" `Quick
+      test_rerun_same_goal;
   ]

@@ -20,6 +20,7 @@ let () =
       ("par-or-engine", Test_par_or_engine.suite);
       ("errors", Test_errors.suite);
       ("cancel", Test_cancel.suite);
+      ("counters", Test_counters.suite);
       ("serve", Test_serve.suite);
       ("check", Test_check.suite);
       ("table", Test_table.suite);

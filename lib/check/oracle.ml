@@ -49,7 +49,9 @@ let pp_outcome ppf o =
 
 (* ------------------------------------------------------------------ *)
 
-let run_engine ?chaos ?(profiled = false) kind config ~program ~query =
+(* One engine run: the outcome and, when the run completed, its
+   choice-point count. *)
+let run_counted ?chaos ?(profiled = false) kind config ~program ~query =
   (* a fresh enabled profile per run: profiling must observe without
      perturbing, so a profiled row's solutions are compared like any
      other's *)
@@ -57,10 +59,15 @@ let run_engine ?chaos ?(profiled = false) kind config ~program ~query =
     if profiled then Ace_obs.Prof.create () else Ace_obs.Prof.disabled
   in
   match Engine.solve_program ?chaos ~prof kind config ~program ~query with
-  | r -> Solutions (Canon.multiset r.Engine.solutions)
-  | exception Ace_core.Errors.Engine_error m -> Error m
-  | exception Ace_term.Arith.Error m -> Error ("arith: " ^ m)
-  | exception Ace_lang.Program.Error m -> Error ("syntax: " ^ m)
+  | r ->
+    ( Solutions (Canon.multiset r.Engine.solutions),
+      Some r.Engine.stats.Ace_machine.Stats.cp_allocs )
+  | exception Ace_core.Errors.Engine_error m -> (Error m, None)
+  | exception Ace_term.Arith.Error m -> (Error ("arith: " ^ m), None)
+  | exception Ace_lang.Program.Error m -> (Error ("syntax: " ^ m), None)
+
+let run_engine ?chaos ?profiled kind config ~program ~query =
+  fst (run_counted ?chaos ?profiled kind config ~program ~query)
 
 (* A sample of cases also round-trips through an in-process server
    session (lib/serve): the program is prepared once, the query routed
@@ -210,6 +217,28 @@ let tabled_matrix ?extra_chaos ~seed ~schedules () =
   in
   (fixed @ sched @ extra, profiled_row)
 
+(* Choice-point parity.  The compiled dispatch tree refines
+   first-argument indexing (its candidates are a sublist of the
+   interpreter's), so on a single agent, where the search is
+   deterministic, a compiled run never allocates more choice points than
+   the interpreted run of the same program. *)
+let parity_engines =
+  [ ("seq", Engine.Sequential); ("and@1", Engine.And_parallel);
+    ("or@1", Engine.Or_parallel); ("par@1", Engine.Par_or) ]
+
+let cp_parity ~label ~reference ~interpreted ~compiled =
+  if compiled <= interpreted then None
+  else
+    Some
+      (Disagree
+         { d_label = label ^ " compiled cp_allocs";
+           d_expected = reference;
+           d_got =
+             Error
+               (Printf.sprintf "%d choice points, interpreted %d" compiled
+                  interpreted);
+           d_chaos = "off" })
+
 let check ?(schedules = 2) ?mutation ?extra_chaos ?(profile_all = false)
     (case : Gen_prog.t) =
   let program = Gen_prog.program_text case in
@@ -262,18 +291,39 @@ let check ?(schedules = 2) ?mutation ?extra_chaos ?(profile_all = false)
              Config.compile = true });
         ]
     in
+    let disagree label got =
+      Disagree
+        { d_label = label; d_expected = reference; d_got = got;
+          d_chaos = "off" }
+    in
     let rec go_serve n = function
       | [] -> Agree n
       | (label, kind, config) :: rest ->
         let got = run_serve kind config ~program ~query in
         if agrees ~reference got then go_serve (n + 1) rest
+        else disagree label got
+    in
+    let rec go_parity n = function
+      | [] -> go_serve n serve_rows
+      | (label, kind) :: rest -> (
+        let run compile =
+          run_counted kind { Config.default with Config.compile }
+            ~program:(mutated_program kind) ~query
+        in
+        let (interp, ci), (comp, cc) = (run false, run true) in
+        if not (agrees ~reference interp) then disagree label interp
+        else if not (agrees ~reference comp) then
+          disagree (label ^ " compiled") comp
         else
-          Disagree
-            { d_label = label; d_expected = reference; d_got = got;
-              d_chaos = "off" }
+          match ci, cc with
+          | Some interpreted, Some compiled -> (
+            match cp_parity ~label ~reference ~interpreted ~compiled with
+            | Some v -> v
+            | None -> go_parity (n + 2) rest)
+          | _ -> go_parity (n + 2) rest)
     in
     let rec go n = function
-      | [] -> go_serve n serve_rows
+      | [] -> go_parity n parity_engines
       | (label, kind, config, chaos, profiled) :: rest -> (
         let got =
           run_engine ?chaos ~profiled kind config

@@ -44,7 +44,11 @@ val run_engine :
 
     One matrix row always runs with the per-predicate profiler enabled;
     [profile_all] enables it on {e every} row — profiling must never
-    perturb the solution multiset. *)
+    perturb the solution multiset.
+
+    Every case also runs seq, and@1, or@1 and par@1 interpreted and
+    compiled, and reports a discrepancy (see {!cp_parity}) when the
+    compiled run allocates more choice points. *)
 val check :
   ?schedules:int ->
   ?mutation:mutation ->
@@ -52,6 +56,15 @@ val check :
   ?profile_all:bool ->
   Gen_prog.t ->
   verdict
+
+(** The choice-point parity rule: [Some] discrepancy labelled [label]
+    when a single-agent compiled run allocated more choice points
+    ([compiled]) than the interpreted run of the same program
+    ([interpreted]); the compiled dispatch refines first-argument
+    indexing, so it never should. *)
+val cp_parity :
+  label:string -> reference:outcome -> interpreted:int -> compiled:int ->
+  verdict option
 
 (** True when [check] returns [Disagree] — the shrinker's property. *)
 val fails :

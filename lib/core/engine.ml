@@ -58,7 +58,7 @@ let with_alloc_counters f =
 type prepared = { pbase : Database.t }
 
 let prepare db =
-  (* warm the lookup caches and precompile clause code once; runs then
+  (* build the dispatch trees and precompile clause code once; runs then
      read the database without mutating it (required by the multi-domain
      engine) *)
   Database.freeze db;
@@ -73,7 +73,7 @@ let session p = Database.overlay p.pbase
 let run ?output ?trace ?chaos ?prof ?table ?(cancel = Cancel.none) ?session
     kind (config : Config.t) p goal =
   let db = match session with Some s -> s | None -> p.pbase in
-  (* idempotent on the shared base; for a session overlay this re-caches
+  (* idempotent on the shared base; for a session overlay this re-indexes
      and re-compiles only the session's own asserted clauses *)
   Database.freeze db;
   (* one answer table per run unless the caller shares one across runs;

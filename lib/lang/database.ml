@@ -12,14 +12,20 @@
    the symbol intern table at the (cold) API boundary.
 
    Representation.  Each predicate keeps its clauses in per-key hash
-   buckets plus a separate list for variable-headed (Kany) clauses, so a
-   lookup touches only the clauses that survive indexing instead of
-   scanning the whole predicate.  Source order is reconstructed from
-   per-clause sequence numbers: [assertz] counts up, [asserta] counts
-   down, and a lookup merges the (sequence-sorted) bucket and Kany lists.
-   Both assert directions prepend to lists, so asserting N clauses costs
-   O(N) total — the old representation appended to a plain list, making
-   [assertz] of N clauses O(N²).
+   buckets plus a separate list for variable-headed (Kany) clauses.
+   Source order is reconstructed from per-clause sequence numbers:
+   [assertz] counts up, [asserta] counts down, and a lookup merges the
+   (sequence-sorted) bucket and Kany lists.  Both assert directions
+   prepend to lists, so asserting N clauses costs O(N) total.
+
+   One index.  {!freeze} builds each predicate's switch-on-term dispatch
+   tree ([dtree] below), whose root switches on the first argument.  The
+   interpreted {!lookup} reads only that first level — exactly classic
+   first-argument indexing, which the paper experiments' cycle counts
+   depend on — and the compiled {!lookup_code} walks the whole tree, so
+   its candidates are always a source-ordered sublist of {!lookup}'s.
+   An unfrozen database has no tree; its lookups merge the buckets
+   directly.
 
    The structure is mutated only at assert time; lookups are read-only, so
    a consulted program can be shared by concurrently running engine
@@ -82,8 +88,9 @@ let key_of_term t =
 
 type entry = { seq : int; e_key : key; e_clause : Clause.t }
 
-(* Switch-on-term dispatch tree with deep argument indexing (built by
-   {!freeze}, consumed by {!lookup_code} on the compiled execution path).
+(* Switch-on-term dispatch tree with deep argument indexing: the
+   predicate's one clause index (built by {!freeze}; both the compiled
+   and the interpreted lookups read it).
 
    A [Dswitch] discriminates on the key found at [d_path] — a sequence of
    argument positions from the call's root, so paths longer than one look
@@ -91,16 +98,22 @@ type entry = { seq : int; e_key : key; e_clause : Clause.t }
    [d_cases] maps each rigid key to the subtree over the clauses
    compatible with it (bucket clauses plus the variable-at-path clauses,
    merged in source order); a rigid call key with no case falls back to
-   [d_anys] (just the variable-at-path clauses) and a call with a
-   variable at the path to [d_all] (every clause of the subtree).
-   Dropping a clause therefore only ever happens on provably
-   non-unifiable rigid-key disagreement. *)
+   [d_anys] (the subtree over just the variable-at-path clauses) and a
+   call with a variable at the path to [d_all] (every clause of the
+   subtree).  Dropping a clause therefore only ever happens on provably
+   non-unifiable rigid-key disagreement.
+
+   The root switches on the first argument whenever any clause has a
+   rigid one, so the tree's first level is exactly first-argument
+   indexing (the interpreted {!lookup} reads only that level) and every
+   deeper level only narrows it: the compiled candidates are always a
+   source-ordered sublist of the interpreted ones. *)
 type dtree =
   | Dleaf of Clause.t list
   | Dswitch of {
       d_path : int array;
       d_cases : dtree KeyTbl.t;
-      d_anys : Clause.t list;
+      d_anys : dtree;
       d_all : Clause.t list;
     }
 
@@ -117,25 +130,19 @@ type pred = {
   buckets : entry list KeyTbl.t;
     (* non-Kany clauses by key, descending [seq] *)
   mutable anys : entry list; (* Kany clauses, descending [seq] *)
-  (* Lookup caches, populated by {!freeze} and invalidated by asserts.
-     [lookup] never writes them, so a frozen database stays read-only and
-     can be shared across domains. *)
-  mutable all_cache : Clause.t list option; (* source-order clause list *)
-  mutable anys_cache : Clause.t list option;
-    (* ascending Kany clauses: the result for keys with no bucket *)
-  key_cache : Clause.t list KeyTbl.t; (* merged bucket + anys per key *)
   mutable dtree : dtree option;
-    (* deep-indexing dispatch tree for the compiled path; built by
-       {!freeze}, invalidated by asserts *)
+    (* the dispatch tree; built by {!freeze}, invalidated by asserts.
+       Lookups never write it, so a frozen database stays read-only and
+       can be shared across domains *)
 }
 
 type t = {
   preds : pred PredTbl.t;
   mutable frozen : bool;
-    (* caches are complete and the database is read-only; cleared by
-       asserts, making a second {!freeze} O(1) *)
+    (* dispatch trees are complete and the database is read-only;
+       cleared by asserts, making a second {!freeze} O(1) *)
   freeze_lock : Mutex.t;
-    (* serializes cache construction: two sessions freezing the shared
+    (* serializes the index build: two sessions freezing the shared
        base concurrently must not race the dispatch-tree build *)
   tabled : string PredTbl.t;
     (* predicates declared [:- table name/arity]; the value is the
@@ -150,8 +157,9 @@ type t = {
        base [b] — its own preds hold only the session's asserts, and
        every lookup merges them around [b]'s (never-mutated) result *)
   mutable removed : Clause.t list;
-    (* overlay only: clauses retracted by this session, tombstoned by
-       physical identity so the shared base stays untouched *)
+    (* overlay only: base clauses retracted by this session, tombstoned
+       by physical identity so the shared base stays untouched (a
+       retracted session clause is removed from the overlay instead) *)
 }
 
 let create () =
@@ -191,9 +199,6 @@ let get_pred db sym arity =
         prev_seq = -1;
         buckets = KeyTbl.create 8;
         anys = [];
-        all_cache = None;
-        anys_cache = None;
-        key_cache = KeyTbl.create 8;
         dtree = None;
       }
     in
@@ -214,11 +219,7 @@ let index_entry p entry ~at_front =
     let bucket = if at_front then bucket @ [ entry ] else entry :: bucket in
     KeyTbl.replace p.buckets key bucket
 
-let invalidate p =
-  p.all_cache <- None;
-  p.anys_cache <- None;
-  p.dtree <- None;
-  KeyTbl.reset p.key_cache
+let invalidate p = p.dtree <- None
 
 let assertz db clause =
   let sym, arity = Clause.functor_arity clause in
@@ -251,59 +252,31 @@ let clauses_of db name arity =
   | None -> []
   | Some p -> List.map (fun e -> e.e_clause) (all_entries p)
 
-(* Merges two descending-[seq] entry lists into one ascending clause list:
+(* Merges two descending-[seq] entry lists into one ascending list:
    source order, O(length of the inputs) — i.e. proportional to the
    clauses that survive indexing, never to the whole predicate. *)
 let merge_desc a b =
   let rec go a b acc =
     match a, b with
     | [], [] -> acc
-    | x :: xs, [] -> go xs [] (x.e_clause :: acc)
-    | [], y :: ys -> go [] ys (y.e_clause :: acc)
+    | x :: xs, [] -> go xs [] (x :: acc)
+    | [], y :: ys -> go [] ys (y :: acc)
     | x :: xs, y :: ys ->
-      if x.seq > y.seq then go xs b (x.e_clause :: acc)
-      else go a ys (y.e_clause :: acc)
+      if x.seq > y.seq then go xs b (x :: acc) else go a ys (y :: acc)
   in
   go a b []
 
-(* Candidate clauses for a call, filtered by first-argument indexing.
-   Returns [None] when the predicate is undefined (distinct from defined
-   with no matching clause). *)
-let all_clauses p =
-  match p.all_cache with
-  | Some clauses -> clauses
-  | None -> List.map (fun e -> e.e_clause) (all_entries p)
-
-let lookup db call =
-  match Term.functor_of (Term.deref call) with
-  | None -> invalid_arg "Database.lookup: callable expected"
-  | Some (sym, arity) ->
-    (match find_pred_sym db sym arity with
-     | None -> None
-     | Some p ->
-       if arity = 0 then Some (all_clauses p)
-       else
-         let call_key =
-           match Term.deref call with
-           | Term.Struct (_, args) -> key_of_term args.(0)
-           | Term.Atom _ | Term.Int _ | Term.Var _ -> Kany
-         in
-         (match call_key with
-          | Kany -> Some (all_clauses p)
-          | key ->
-            (match KeyTbl.find_opt p.key_cache key with
-             | Some clauses -> Some clauses
-             | None -> (
-               match KeyTbl.find_opt p.buckets key with
-               | None -> (
-                 (* no bucket: the result is exactly the Kany clauses *)
-                 match p.anys_cache with
-                 | Some anys -> Some anys
-                 | None -> Some (merge_desc [] p.anys))
-               | Some bucket -> Some (merge_desc bucket p.anys)))))
+(* The entries surviving first-argument indexing for [key], in source
+   order, read straight from the buckets: the index of an unfrozen
+   database, and of a session overlay (small, and mutated often). *)
+let first_arg_entries p key =
+  match key with
+  | Kany -> all_entries p
+  | key ->
+    merge_desc (Option.value ~default:[] (KeyTbl.find_opt p.buckets key)) p.anys
 
 (* ------------------------------------------------------------------ *)
-(* Deep-indexing dispatch tree (compiled execution path)               *)
+(* Dispatch tree                                                       *)
 (* ------------------------------------------------------------------ *)
 
 (* Bounds on tree construction: paths never look more than [max_depth]
@@ -333,43 +306,31 @@ let clause_key_at clause (path : int array) =
 let entry_clauses entries = List.map (fun e -> e.e_clause) entries
 
 (* Builds the tree over [entries] (ascending seq = source order).  A path
-   is worth switching on when it has at least two distinct rigid keys and
-   every case strictly shrinks (largest bucket + variable-keyed clauses
-   < total); the most discriminating such path wins.  Each [Kstruct]
-   case adds the positions inside that structure as new candidate paths —
-   that is the deep indexing. *)
-let rec build_dtree entries paths =
+   is worth switching on when some clause has a rigid key there: a call
+   with a different rigid key then drops every clause but the
+   variable-keyed ones.  A single clause below the root is a leaf (it
+   allocates no choice point however the call looks); the root switches
+   even then, so its first level is always the first-argument index.
+   Each [Kstruct] case adds the positions inside that structure as new
+   candidate paths — that is the deep indexing. *)
+let rec build_dtree ~root entries paths =
   match entries with
-  | [] | [ _ ] -> Dleaf (entry_clauses entries)
-  | _ when paths = [] -> Dleaf (entry_clauses entries)
+  | [ _ ] when not root -> Dleaf (entry_clauses entries)
   | _ ->
-    let total = List.length entries in
-    let score path =
-      let tbl = KeyTbl.create 8 in
-      let nanys = ref 0 in
-      List.iter
+    let rigid path =
+      List.exists
         (fun e ->
-          match clause_key_at e.e_clause path with
-          | Kany -> incr nanys
-          | k -> KeyTbl.replace tbl k (1 + Option.value ~default:0 (KeyTbl.find_opt tbl k)))
-        entries;
-      let distinct = KeyTbl.length tbl in
-      let worst = KeyTbl.fold (fun _ n acc -> max n acc) tbl 0 in
-      if distinct >= 2 && worst + !nanys < total then Some (worst + !nanys)
-      else None
+          match clause_key_at e.e_clause path with Kany -> false | _ -> true)
+        entries
     in
-    (* Prefer the earliest qualifying path over the best-scoring one:
-       calls instantiate early (input) arguments far more often than
+    (* Prefer the earliest qualifying path over the most discriminating
+       one: calls instantiate early (input) arguments far more often than
        late (output) ones, and a switch on a position that is unbound at
        run time degenerates to [d_all] however well it discriminates the
        clause heads.  Candidate order is leftmost-shallowest first, and
        [sub_paths] below keeps refinements of the matched position ahead
        of later arguments for the same reason. *)
-    let best =
-      List.find_map
-        (fun path -> Option.map (fun _ -> path) (score path))
-        paths
-    in
+    let best = List.find_opt rigid paths in
     (match best with
      | None -> Dleaf (entry_clauses entries)
      | Some path ->
@@ -409,75 +370,34 @@ let rec build_dtree entries paths =
                else paths'
              | _ -> rest_paths
            in
-           KeyTbl.replace cases k (build_dtree sub_entries sub_paths))
+           KeyTbl.replace cases k
+             (build_dtree ~root:false sub_entries sub_paths))
          buckets;
        Dswitch
          {
            d_path = path;
            d_cases = cases;
-           d_anys = entry_clauses anys;
+           d_anys = build_dtree ~root:false anys rest_paths;
            d_all = entry_clauses entries;
          })
 
 let build_pred_dtree p =
-  if p.p_arity = 0 then Dleaf (all_clauses p)
-  else
-    build_dtree (all_entries p)
-      (List.init p.p_arity (fun i -> [| i |]))
+  build_dtree ~root:true (all_entries p)
+    (List.init p.p_arity (fun i -> [| i |]))
+
+let tree_clauses = function Dleaf cs -> cs | Dswitch { d_all; _ } -> d_all
+
+(* Lookups take the call spread in a register file, as the compiled body
+   path calls (it never packs a [Term.Struct] for the call): [args] may
+   be longer than [arity] (a shared register buffer) — only the first
+   [arity] cells are the call. *)
+
+let first_key arity (args : Term.t array) =
+  if arity = 0 then Kany else key_of_term args.(0)
 
 (* Key of a call at a path; [None] when a variable is met along it (the
    call could take any branch). *)
-let call_key_at call (path : int array) =
-  let rec go t i =
-    match Term.deref t with
-    | Term.Var _ -> None
-    | t' when i >= Array.length path -> Some (key_of_term t')
-    | Term.Struct (_, args) when path.(i) < Array.length args ->
-      go args.(path.(i)) (i + 1)
-    | _ -> None (* cannot descend; be conservative *)
-  in
-  match Term.deref call with
-  | Term.Struct (_, args) when path.(0) < Array.length args ->
-    go args.(path.(0)) 1
-  | _ -> None
-
-let rec walk_dtree tree call =
-  match tree with
-  | Dleaf clauses -> clauses
-  | Dswitch { d_path; d_cases; d_anys; d_all } -> (
-    match call_key_at call d_path with
-    | None | Some Kany -> d_all
-    | Some key -> (
-      match KeyTbl.find_opt d_cases key with
-      | Some sub -> walk_dtree sub call
-      | None -> d_anys))
-
-(* Candidate clauses via the dispatch tree — the compiled path's
-   {!lookup}.  Falls back to first-argument indexing when the database
-   has not been frozen (never mutates, so a frozen database stays
-   shareable across domains). *)
-let lookup_code db call =
-  match Term.functor_of (Term.deref call) with
-  | None -> invalid_arg "Database.lookup_code: callable expected"
-  | Some (sym, arity) -> (
-    match find_pred_sym db sym arity with
-    | None -> None
-    | Some p -> (
-      match p.dtree with
-      | Some tree -> Some (walk_dtree tree (Term.deref call))
-      | None -> lookup db call))
-
-(* ------------------------------------------------------------------ *)
-(* Register-rooted lookups                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* The compiled body path calls with the goal's arguments spread in a
-   register file instead of packed in a [Term.Struct]: these variants
-   root the key computations at the register array.  [args] may be
-   longer than [arity] (a shared register buffer) — only the first
-   [arity] cells are the call. *)
-
-let call_key_at_args arity (args : Term.t array) (path : int array) =
+let call_key_at arity (args : Term.t array) (path : int array) =
   let rec go t i =
     match Term.deref t with
     | Term.Var _ -> None
@@ -488,64 +408,57 @@ let call_key_at_args arity (args : Term.t array) (path : int array) =
   in
   if path.(0) < arity then go args.(path.(0)) 1 else None
 
-let rec walk_dtree_args tree arity args =
+let rec walk_dtree tree arity args =
   match tree with
   | Dleaf clauses -> clauses
   | Dswitch { d_path; d_cases; d_anys; d_all } -> (
-    match call_key_at_args arity args d_path with
+    match call_key_at arity args d_path with
     | None | Some Kany -> d_all
-    | Some key -> (
-      match KeyTbl.find_opt d_cases key with
-      | Some sub -> walk_dtree_args sub arity args
-      | None -> d_anys))
+    | Some key ->
+      walk_dtree
+        (match KeyTbl.find_opt d_cases key with Some sub -> sub | None -> d_anys)
+        arity args)
 
-(* {!lookup} rooted at a register file. *)
-let lookup_args db sym arity (args : Term.t array) =
+(* First-argument indexing for a call with first-argument key [key]: the
+   tree's first level on a frozen database, the buckets merged directly
+   on an unfrozen one.  Both give every clause whose first argument is a
+   variable or has [key], in source order. *)
+let first_arg_clauses p key =
+  match p.dtree, key with
+  | Some (Dswitch { d_path = [| 0 |]; d_cases; d_anys; _ }),
+    (Kint _ | Katom _ | Kstruct _) ->
+    tree_clauses
+      (match KeyTbl.find_opt d_cases key with Some sub -> sub | None -> d_anys)
+  | Some tree, _ -> tree_clauses tree
+  | None, _ -> entry_clauses (first_arg_entries p key)
+
+(* The lookups of one database, ignoring any overlay.  [None] when the
+   predicate is undefined (distinct from defined with no matching
+   clause). *)
+let direct_lookup db sym arity key =
   match find_pred_sym db sym arity with
   | None -> None
-  | Some p ->
-    if arity = 0 then Some (all_clauses p)
-    else (
-      match key_of_term args.(0) with
-      | Kany -> Some (all_clauses p)
-      | key ->
-        (match KeyTbl.find_opt p.key_cache key with
-         | Some clauses -> Some clauses
-         | None -> (
-           match KeyTbl.find_opt p.buckets key with
-           | None -> (
-             match p.anys_cache with
-             | Some anys -> Some anys
-             | None -> Some (merge_desc [] p.anys))
-           | Some bucket -> Some (merge_desc bucket p.anys))))
+  | Some p -> Some (first_arg_clauses p key)
 
-(* {!lookup_code} rooted at a register file. *)
-let lookup_code_args db sym arity (args : Term.t array) =
+let direct_lookup_code db sym arity args =
   match find_pred_sym db sym arity with
   | None -> None
   | Some p -> (
     match p.dtree with
-    | Some tree -> Some (walk_dtree_args tree arity args)
-    | None -> lookup_args db sym arity args)
+    | Some tree -> Some (walk_dtree tree arity args)
+    | None -> Some (first_arg_clauses p (first_key arity args)))
 
-(* Precomputes every lookup result reachable from the current clause set,
-   so subsequent lookups are pure reads — safe to share across domains
-   (the next assert invalidates, so freeze again after updates).  Also
-   builds the dispatch trees and precompiles every clause to instruction
-   code, so parallel workers on the compiled path never write.
+(* Builds every predicate's dispatch tree, so subsequent lookups are pure
+   reads — safe to share across domains (the next assert invalidates, so
+   freeze again after updates).  Also precompiles every clause to
+   instruction code, so parallel workers on the compiled path never
+   write.
 
    Idempotent: O(1) on an already-frozen database, so per-query freezing
    (as the engine front end does) costs nothing after the first. *)
 let freeze_preds db =
   PredTbl.iter
     (fun _ p ->
-      p.all_cache <- Some (List.map (fun e -> e.e_clause) (all_entries p));
-      p.anys_cache <- Some (merge_desc [] p.anys);
-      KeyTbl.reset p.key_cache;
-      KeyTbl.iter
-        (fun key bucket ->
-          KeyTbl.replace p.key_cache key (merge_desc bucket p.anys))
-        p.buckets;
       p.dtree <- Some (build_pred_dtree p);
       List.iter
         (fun e -> ignore (Code.of_clause e.e_clause))
@@ -555,9 +468,9 @@ let freeze_preds db =
 let rec freeze db =
   (match db.base with Some b -> freeze b | None -> ());
   (* Double-checked under the lock, and the flag is set only AFTER the
-     caches are built: a concurrent freezer that loses the race blocks on
+     trees are built: a concurrent freezer that loses the race blocks on
      the mutex until the build is done, and one that reads [frozen =
-     true] without the lock can only do so once the caches are complete.
+     true] without the lock can only do so once the trees are complete.
      (The unlocked fast path makes the per-query re-freeze of an
      already-frozen database one load, as before.) *)
   if not db.frozen then begin
@@ -584,7 +497,7 @@ let overlay b =
   freeze b;
   {
     preds = PredTbl.create 8;
-    frozen = true; (* nothing to cache yet *)
+    frozen = true; (* nothing to index yet *)
     freeze_lock = Mutex.create ();
     tabled = b.tabled; (* shared: sessions never declare tables *)
     has_tabled = b.has_tabled;
@@ -594,55 +507,47 @@ let overlay b =
 
 let base db = db.base
 
-(* The overlay's own entries surviving first-argument indexing for
-   [key], ascending seq.  Overlays are small and mutate often, so this
-   reads the buckets directly instead of the freeze caches. *)
-let overlay_entries p key =
-  match key with
-  | Kany -> all_entries p
-  | key ->
-    let bucket = Option.value ~default:[] (KeyTbl.find_opt p.buckets key) in
-    let rec go a b acc =
-      match a, b with
-      | [], [] -> acc
-      | x :: xs, [] -> go xs [] (x :: acc)
-      | [], y :: ys -> go [] ys (y :: acc)
-      | x :: xs, y :: ys ->
-        if x.seq > y.seq then go xs b (x :: acc) else go a ys (y :: acc)
-    in
-    go bucket p.anys []
-
 (* The session view of one (keyed) lookup, in overlay source order:
-   asserta'd session clauses (negative seq), then the base's (cached,
-   indexed) answer, then assertz'd session clauses — with this session's
-   tombstones filtered out of every part.  [None] exactly when neither
-   side defines the predicate. *)
+   asserta'd session clauses (negative seq), then the base's (indexed)
+   answer less this session's retracted base clauses, then assertz'd
+   session clauses.  [None] exactly when neither side defines the
+   predicate. *)
 let overlay_view db p_opt key base_part =
-  let keep =
-    match db.removed with
-    | [] -> fun _ -> true
-    | removed -> fun c -> not (List.memq c removed)
+  let bs =
+    match base_part, db.removed with
+    | None, _ -> []
+    | Some bs, [] -> bs
+    | Some bs, removed -> List.filter (fun c -> not (List.memq c removed)) bs
   in
   match p_opt, base_part with
   | None, None -> None
-  | None, Some bs -> Some (List.filter keep bs)
+  | None, Some _ -> Some bs
   | Some p, _ ->
     let front, back =
-      List.partition (fun e -> e.seq < 0) (overlay_entries p key)
+      List.partition (fun e -> e.seq < 0) (first_arg_entries p key)
     in
-    let part es =
-      List.filter_map
-        (fun e -> if keep e.e_clause then Some e.e_clause else None)
-        es
-    in
-    let bs =
-      match base_part with None -> [] | Some bs -> List.filter keep bs
-    in
-    Some (part front @ bs @ part back)
+    Some (entry_clauses front @ bs @ entry_clauses back)
+
+(* Removes a session-asserted entry from its overlay predicate. *)
+let unindex db p e =
+  let drop = List.filter (fun x -> x != e) in
+  p.front <- drop p.front;
+  p.back_rev <- drop p.back_rev;
+  (match e.e_key with
+   | Kany -> p.anys <- drop p.anys
+   | key -> (
+     match drop (KeyTbl.find p.buckets key) with
+     | [] -> KeyTbl.remove p.buckets key
+     | bucket -> KeyTbl.replace p.buckets key bucket));
+  p.count <- p.count - 1;
+  db.frozen <- false;
+  invalidate p
 
 (* Retracts the first clause of the session view whose [H :- B] term
-   unifies with [pattern]'s, by tombstoning it in the overlay; the base
-   database is never written.  Returns [false] when nothing matched. *)
+   unifies with [pattern]'s.  A clause the session asserted itself is
+   removed from the overlay; a base clause is tombstoned in [removed],
+   so the base database is never written.  Returns [false] when nothing
+   matched. *)
 let retract db pattern =
   match db.base with
   | None -> invalid_arg "Database.retract: session overlay expected"
@@ -652,83 +557,59 @@ let retract db pattern =
       match find_pred_sym db sym arity with
       | None -> ([], [])
       | Some p ->
-        let f, bk = List.partition (fun e -> e.seq < 0) (all_entries p) in
-        (List.map (fun e -> e.e_clause) f, List.map (fun e -> e.e_clause) bk)
+        List.map (fun e -> (Some p, e)) (all_entries p)
+        |> List.partition (fun (_, e) -> e.seq < 0)
     in
-    let base_cs =
+    let base_es =
       match find_pred_sym b sym arity with
       | None -> []
-      | Some p -> List.map (fun e -> e.e_clause) (all_entries p)
+      | Some p -> List.map (fun e -> (None, e)) (all_entries p)
     in
     let pat = Clause.to_term (Clause.rename pattern) in
-    let live c = not (List.memq c db.removed) in
-    let rec go = function
-      | [] -> false
-      | c :: rest ->
-        if live c && Ace_term.Unify.matches (Clause.to_term c) pat then begin
-          db.removed <- c :: db.removed;
-          true
-        end
-        else go rest
+    let hit (_, e) =
+      (not (List.memq e.e_clause db.removed))
+      && Ace_term.Unify.matches (Clause.to_term e.e_clause) pat
     in
-    go (own_front @ base_cs @ own_back)
+    match List.find_opt hit (own_front @ base_es @ own_back) with
+    | None -> false
+    | Some (Some p, e) -> unindex db p e; true
+    | Some (None, e) -> db.removed <- e.e_clause :: db.removed; true
 
-(* Overlay-aware public lookups, shadowing the direct versions above.
-   A database without a base pays exactly one extra load and branch;
-   an overlay merges its (bucket-indexed) delta around the base's
-   answer, never touching the base's caches.  The compiled-path
-   variants run the base through its dispatch tree and filter the
-   overlay part by first-argument key only — both filters drop only
-   provably non-unifiable clauses, so the combination is still sound. *)
-
-let overlay_call_key call arity =
-  if arity = 0 then Kany
-  else
-    match Term.deref call with
-    | Term.Struct (_, args) -> key_of_term args.(0)
-    | Term.Atom _ | Term.Int _ | Term.Var _ -> Kany
-
-let direct_lookup = lookup
-let direct_lookup_code = lookup_code
-let direct_lookup_args = lookup_args
-let direct_lookup_code_args = lookup_code_args
-
-let overlay_lookup db b ~base_part call =
-  match Term.functor_of (Term.deref call) with
-  | None -> invalid_arg "Database.lookup: callable expected"
-  | Some (sym, arity) ->
-    let key = overlay_call_key call arity in
-    overlay_view db (find_pred_sym db sym arity) key (base_part b call)
-
-let lookup db call =
-  match db.base with
-  | None -> direct_lookup db call
-  | Some b -> overlay_lookup db b ~base_part:direct_lookup call
-
-let lookup_code db call =
-  match db.base with
-  | None -> direct_lookup_code db call
-  | Some b -> overlay_lookup db b ~base_part:direct_lookup_code call
+(* Overlay-aware public lookups.  A database without a base pays exactly
+   one extra load and branch; an overlay merges its (bucket-indexed)
+   delta around the base's answer, never touching the base's index.
+   The compiled-path variants run the base through its dispatch tree
+   and filter the overlay part by first-argument key only — both
+   filters drop only provably non-unifiable clauses, so the combination
+   is still sound. *)
 
 let lookup_args db sym arity (args : Term.t array) =
+  let key = first_key arity args in
   match db.base with
-  | None -> direct_lookup_args db sym arity args
+  | None -> direct_lookup db sym arity key
   | Some b ->
-    let key = if arity = 0 then Kany else key_of_term args.(0) in
-    overlay_view db
-      (find_pred_sym db sym arity)
-      key
-      (direct_lookup_args b sym arity args)
+    overlay_view db (find_pred_sym db sym arity) key
+      (direct_lookup b sym arity key)
 
 let lookup_code_args db sym arity (args : Term.t array) =
   match db.base with
-  | None -> direct_lookup_code_args db sym arity args
+  | None -> direct_lookup_code db sym arity args
   | Some b ->
-    let key = if arity = 0 then Kany else key_of_term args.(0) in
     overlay_view db
       (find_pred_sym db sym arity)
-      key
-      (direct_lookup_code_args b sym arity args)
+      (first_key arity args)
+      (direct_lookup_code b sym arity args)
+
+(* The call-term entry points spread the call's arguments as a register
+   file. *)
+let on_call name lookup db call =
+  match Term.deref call with
+  | Term.Struct (sym, args) -> lookup db sym (Array.length args) args
+  | Term.Atom sym -> lookup db sym 0 [||]
+  | Term.Int _ | Term.Var _ -> invalid_arg (name ^ ": callable expected")
+
+let lookup db call = on_call "Database.lookup" lookup_args db call
+let lookup_code db call = on_call "Database.lookup_code" lookup_code_args db call
 
 (* Overlay-aware introspection (cold paths). *)
 
@@ -740,21 +621,16 @@ let clauses_of db name arity =
   match db.base with
   | None -> clauses_of db name arity
   | Some b ->
-    let keep =
-      match db.removed with
-      | [] -> fun _ -> true
-      | removed -> fun c -> not (List.memq c removed)
-    in
-    let split =
+    let front, back =
       match find_pred db name arity with
       | None -> ([], [])
-      | Some p ->
-        let f, bk = List.partition (fun e -> e.seq < 0) (all_entries p) in
-        ( List.map (fun e -> e.e_clause) f,
-          List.map (fun e -> e.e_clause) bk )
+      | Some p -> List.partition (fun e -> e.seq < 0) (all_entries p)
     in
-    let front, back = split in
-    List.filter keep (front @ clauses_of b name arity @ back)
+    entry_clauses front
+    @ List.filter
+        (fun c -> not (List.memq c db.removed))
+        (clauses_of b name arity)
+    @ entry_clauses back
 
 (* ------------------------------------------------------------------ *)
 (* Tabling registry                                                    *)

@@ -17,17 +17,18 @@ val mem : t -> string -> int -> bool
 (** Clauses of a predicate in source order (no indexing). *)
 val clauses_of : t -> string -> int -> Clause.t list
 
-(** Candidate clauses for a call after first-argument indexing; [None] when
-    the predicate is undefined. *)
+(** Candidate clauses for a call after first-argument indexing, in
+    source order; [None] when the predicate is undefined. *)
 val lookup : t -> Ace_term.Term.t -> Clause.t list option
 
 (** Candidate clauses for a call through the switch-on-term dispatch tree
     with deep argument indexing (the compiled path's {!lookup}); built by
     {!freeze}, falls back to {!lookup} on an unfrozen database.  Like
-    {!lookup}, [None] means the predicate is undefined, and the result is
-    in source order — only provably non-unifiable clauses are filtered
-    out, so solution sets are unchanged (choice-point counts may
-    shrink). *)
+    {!lookup}, [None] means the predicate is undefined.  The result is
+    always a source-ordered sublist of {!lookup}'s: the tree's root is
+    the first-argument switch and deeper levels drop only provably
+    non-unifiable clauses, so solution sets are unchanged and
+    choice-point counts can only shrink. *)
 val lookup_code : t -> Ace_term.Term.t -> Clause.t list option
 
 (** {!lookup} with the call spread in a register file (the compiled body
@@ -40,13 +41,14 @@ val lookup_args :
 val lookup_code_args :
   t -> Ace_term.Symbol.t -> int -> Ace_term.Term.t array -> Clause.t list option
 
-(** Precomputes every {!lookup} result so later lookups are allocation-free
-    pure reads (safe to share across domains).  Asserting invalidates the
-    affected predicate; freeze again after updates.  Idempotent, and
-    thread-safe: concurrent freezes serialize on an internal lock and the
-    frozen flag is published only after the caches (including the
-    dispatch trees) are completely built, so two sessions freezing the
-    same base cannot race the build or observe a half-built index. *)
+(** Builds every predicate's dispatch tree — the one clause index both
+    lookups read — and precompiles every clause, so later lookups are
+    allocation-free pure reads (safe to share across domains).
+    Asserting invalidates the affected predicate; freeze again after
+    updates.  Idempotent, and thread-safe: concurrent freezes serialize
+    on an internal lock and the frozen flag is published only after the
+    trees are completely built, so two sessions freezing the same base
+    cannot race the build or observe a half-built index. *)
 val freeze : t -> unit
 
 (** {2 Session overlays}
@@ -54,8 +56,9 @@ val freeze : t -> unit
     A session overlay is a private delta over a shared frozen base:
     clauses asserted into the overlay are visible only through it
     ([asserta]'d ones before the base's clauses, [assertz]'d ones
-    after), {!retract} tombstones clauses without writing the base, and
-    every lookup merges the delta around the base's indexed answer.
+    after), {!retract} removes session clauses and tombstones base
+    ones without writing the base, and every lookup merges the delta
+    around the base's indexed answer.
     The base is never mutated, so any number of sessions can overlay
     the same database while engines run queries against it. *)
 
@@ -70,7 +73,9 @@ val base : t -> t option
 (** [retract db pattern] removes the first clause of the session view
     (overlay [asserta]s, then base, then overlay [assertz]s) whose
     [H :- B] term unifies with [pattern]'s; returns [false] when no
-    clause matches.  Overlay-only: raises [Invalid_argument] on a
+    clause matches.  A session clause leaves the overlay outright, so
+    assert/retract churn leaves nothing behind for later lookups to
+    scan.  Overlay-only: raises [Invalid_argument] on a
     database without a base. *)
 val retract : t -> Clause.t -> bool
 

@@ -145,6 +145,30 @@ let test_overlay_retract () =
   Alcotest.(check bool) "retract misses" false
     (Database.retract s1 (Clause.of_term (term "p(9)")))
 
+(* Retracting a clause the session asserted itself removes it from the
+   overlay instead of tombstoning it: after long assert/retract churn the
+   session still answers static questions about untouched base
+   predicates as the base does, and counts the base's clauses. *)
+let test_overlay_churn_leaves_nothing () =
+  let p = Engine.prepare_string "f(a, 1). f(b, 2). g(1)." in
+  let base = Engine.database p and s = Engine.session p in
+  for i = 1 to 10_000 do
+    let note = Clause.of_term (term (Printf.sprintf "note(%d)" i)) in
+    Database.assertz s note;
+    if not (Database.retract s note) then
+      Alcotest.failf "retract of note(%d) missed" i
+  done;
+  Alcotest.(check bool) "f/2 exclusivity as in the base"
+    (Database.first_arg_exclusive base "f" 2)
+    (Database.first_arg_exclusive s "f" 2);
+  Alcotest.(check int) "clause count as in the base"
+    (Database.total_clauses base) (Database.total_clauses s);
+  Alcotest.(check (list string)) "no note left" []
+    (session_solutions p s (term "note(X)"));
+  Alcotest.(check (list string)) "base clauses still visible"
+    [ "f(a,1)"; "f(b,2)" ]
+    (session_solutions p s (term "f(X, Y)"))
+
 (* ------------------------------------------------------------------ *)
 (* Cancelled runs                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -367,6 +391,8 @@ let suite =
       test_overlay_semantics;
     Alcotest.test_case "overlay: retract shadows base" `Quick
       test_overlay_retract;
+    Alcotest.test_case "overlay: assert/retract churn leaves nothing" `Quick
+      test_overlay_churn_leaves_nothing;
     Alcotest.test_case "cancel: deadline on all engines" `Quick
       test_deadline_all_engines;
     Alcotest.test_case "cancel: budget partial + deterministic" `Quick

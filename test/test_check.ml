@@ -75,6 +75,24 @@ let test_mutation_caught () =
            (Gen_prog.generate ~seed:f.Fuzz.f_seed)))
     r.Fuzz.r_failures
 
+(* The choice-point parity rule reports a compiled run that allocates
+   more choice points than the interpreted one, and only then. *)
+let test_cp_parity () =
+  let reference = Oracle.Solutions [ "x" ] in
+  (match Oracle.cp_parity ~label:"par@1" ~reference ~interpreted:3 ~compiled:4
+   with
+   | Some (Oracle.Disagree { d_label; _ }) ->
+     Alcotest.(check string) "labelled" "par@1 compiled cp_allocs" d_label
+   | Some _ | None -> Alcotest.fail "over-count not reported");
+  List.iter
+    (fun compiled ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%d of 3 accepted" compiled)
+        true
+        (Oracle.cp_parity ~label:"seq" ~reference ~interpreted:3 ~compiled
+         = None))
+    [ 0; 3 ]
+
 (* ------------------------------------------------------------------ *)
 (* Chaos: spec round-trip and decision-stream determinism              *)
 (* ------------------------------------------------------------------ *)
@@ -177,6 +195,7 @@ let suite =
     Alcotest.test_case "generated programs valid" `Quick test_gen_valid;
     Alcotest.test_case "oracle smoke budget" `Slow test_oracle_smoke;
     Alcotest.test_case "mutation caught and shrunk" `Slow test_mutation_caught;
+    Alcotest.test_case "cp_allocs parity rule" `Quick test_cp_parity;
     Alcotest.test_case "chaos spec round-trip" `Quick test_chaos_spec_roundtrip;
     Alcotest.test_case "or-engine schedule replay" `Quick
       test_or_schedule_replay;

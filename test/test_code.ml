@@ -132,10 +132,9 @@ let test_dispatch_counts () =
   expect "m(f(Z), R)" 3 (candidates "m(f(Z), R)");
   expect "m([], R)" 2 (candidates "m([], R)");
   expect "m([x], R)" 2 (candidates "m([x], R)");
-  (* [y] matches no list clause's content but still reaches ./2's
-     variable-argument clauses: only the catch-all plus m([x],_)'s
-     cons-cell shape survive *)
-  expect "m([y], R)" 2 (candidates "m([y], R)");
+  (* [y] reaches the ./2 case, whose switch on the list head has no y
+     case: only the catch-all survives *)
+  expect "m([y], R)" 1 (candidates "m([y], R)");
   (* unbound first argument: no pruning at all *)
   expect "m(X, R)" 7 (candidates "m(X, R)");
   (* an integer matches only the variable clause *)
@@ -161,6 +160,81 @@ let test_dispatch_solutions () =
         (Canon.multiset (run compiled)))
     [ "m(a, R)"; "m(f(c), R)"; "m(f(Z), R)"; "m([], R)"; "m([x], R)";
       "m([y], R)"; "m(X, R)"; "m(99, R)" ]
+
+let frozen program =
+  let db = Program.db (Program.consult_string program) in
+  Database.freeze db;
+  db
+
+let count lookup db goal =
+  match lookup db (Test_util.term goal) with
+  | Some cs -> List.length cs
+  | None -> Alcotest.failf "unexpectedly undefined: %s" goal
+
+(* The root of every tree is the first-argument switch, and a rigid key
+   with no case still discriminates on the later paths. *)
+let test_dispatch_refines_first_arg () =
+  let expect = Alcotest.(check int) in
+  (* constant base case + variable recursive case: a non-zero counter
+     selects the recursive clause alone *)
+  let mk = frozen "mk(0, []). mk(N, [N|T]) :- N > 0, M is N-1, mk(M, T)." in
+  expect "mk(2000, L)" 1 (count Database.lookup_code mk "mk(2000, L)");
+  expect "mk(0, L)" 2 (count Database.lookup_code mk "mk(0, L)");
+  (* a single clause is switched on too *)
+  let s = frozen "s(a)." in
+  expect "s(b) compiled" 0 (count Database.lookup_code s "s(b)");
+  expect "s(b) interpreted" 0 (count Database.lookup s "s(b)");
+  (* 5 has no case: the variable-first-argument clauses are switched on
+     argument 2 *)
+  let p = frozen "p(0, a). p(N, b). p(N, c)." in
+  expect "p(5, b)" 1 (count Database.lookup_code p "p(5, b)");
+  expect "p(5, b) interpreted" 2 (count Database.lookup p "p(5, b)")
+
+(* [a] is a sublist of [b], physically and in order. *)
+let rec sublist a b =
+  match a, b with
+  | [], _ -> true
+  | _, [] -> false
+  | x :: xs, y :: ys -> if x == y then sublist xs ys else sublist a ys
+
+(* Compiled candidates are a source-ordered sublist of the interpreted
+   (first-argument) candidates, for calls built from every clause head
+   of a generated program: a random subset of the head's variables is
+   bound to small integers (so a call can carry a rigid key that no
+   clause mentions) and a random subset of its arguments is replaced by
+   fresh variables. *)
+let refinement_prop =
+  Test_util.qcheck ~count:100 "dispatch tree refines first-argument indexing"
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let db = frozen (Gen_prog.program_text (Gen_prog.generate ~seed)) in
+      let rng = Random.State.make [| seed |] in
+      let call c =
+        let head = (Clause.rename c).Clause.head in
+        List.iter
+          (fun v ->
+            if Random.State.bool rng then
+              v.Term.binding <- Some (Term.Int (Random.State.int rng 4)))
+          (Term.variables head);
+        match Term.deref head with
+        | Term.Struct (f, args) ->
+          Term.Struct
+            ( f,
+              Array.map
+                (fun a -> if Random.State.bool rng then Term.var () else a)
+                args )
+        | head -> head
+      in
+      List.for_all
+        (fun (name, arity) ->
+          List.for_all
+            (fun c ->
+              let call = call c in
+              match Database.lookup db call, Database.lookup_code db call with
+              | Some first, Some code -> sublist code first
+              | _ -> false)
+            (Database.clauses_of db name arity))
+        (Database.predicates db))
 
 (* ------------------------------------------------------------------ *)
 (* Mutation hook                                                       *)
@@ -246,6 +320,9 @@ let suite =
     Alcotest.test_case "dispatch: candidate counts" `Quick test_dispatch_counts;
     Alcotest.test_case "dispatch: solutions unchanged" `Quick
       test_dispatch_solutions;
+    Alcotest.test_case "dispatch: refines first-argument indexing" `Quick
+      test_dispatch_refines_first_arg;
+    refinement_prop;
     Alcotest.test_case "mutation hook" `Quick test_mutation_hook;
     Alcotest.test_case "mutation: body code" `Quick test_mutation_body;
     Alcotest.test_case "lco: constant environment space" `Quick

@@ -137,6 +137,36 @@ let test_repeated_runs_stable () =
       (canonical_set (run ~config ~program:search_lib "perm([1,2,3,4], P)"))
   done
 
+(* The list builder on 2 domains, compiled with par_and and every
+   optimization: the dispatch tree's first-argument root makes each mk/2
+   call determinate, so the run leaves at most the base case's choice
+   point, and a steal copies a stack that is linear in N, not N copies
+   of it.  Upper bounds only: they hold when no steal lands (1 core). *)
+let test_list_builder_copy_bound () =
+  let n = 5000 in
+  let program =
+    In_channel.with_open_text
+      (if Sys.file_exists "../examples/listbuild.pl" then
+         "../examples/listbuild.pl"
+       else "examples/listbuild.pl")
+      In_channel.input_all
+  in
+  let config =
+    { (Config.all_optimizations ~agents:2 ()) with
+      Config.par_and = true; compile = true }
+  in
+  let r = run ~config ~program (Printf.sprintf "go(%d, C)" n) in
+  Alcotest.(check (list string)) "one count"
+    [ Printf.sprintf "go(%d,%d)" n n ] (canonical r);
+  let s = r.Engine.stats in
+  Alcotest.(check bool)
+    (Printf.sprintf "cp_allocs %d <= 2" s.Stats.cp_allocs)
+    true (s.Stats.cp_allocs <= 2);
+  Alcotest.(check bool)
+    (Printf.sprintf "copied_cells %d <= 4N + 64" s.Stats.copied_cells)
+    true
+    (s.Stats.copied_cells <= (4 * n) + 64)
+
 let suite =
   [ Alcotest.test_case "agrees with sequential" `Quick test_agrees_with_sequential;
     Alcotest.test_case "benchmarks agree" `Quick test_benchmarks_agree;
@@ -147,4 +177,6 @@ let suite =
     Alcotest.test_case "empty search terminates" `Quick test_empty_search_terminates;
     Alcotest.test_case "undefined predicate" `Quick test_undefined_predicate_raises;
     Alcotest.test_case "stats solution count" `Quick test_solution_count_in_stats;
-    Alcotest.test_case "repeated runs stable" `Quick test_repeated_runs_stable ]
+    Alcotest.test_case "repeated runs stable" `Quick test_repeated_runs_stable;
+    Alcotest.test_case "list builder copy bound" `Quick
+      test_list_builder_copy_bound ]
